@@ -12,17 +12,21 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 internal error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
 from .errors import DataFormatError, UsageError
 from .experiments import (
+    ACCEPT_DELAY_DEFAULTS,
     DETECTORS,
+    WINDOW_DEFAULTS,
     ExperimentConfig,
+    _build_stream_spec,
     format_console_table,
     run_matrix,
 )
-from .streams import StreamSpec, dump_stream
+from .streams import dump_stream
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -31,6 +35,10 @@ EXIT_INTERNAL = 4
 
 _FLAGS = ("stream", "detector", "runs", "seed", "window-size", "delta",
           "accept-delay", "noise", "policy", "out", "dump", "set", "config")
+
+
+def _per_family(defaults: dict) -> str:
+    return ", ".join(f"{family} {value}" for family, value in defaults.items())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,21 +50,22 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(sine1, mixed, circles, led) and/or CSV paths")
     parser.add_argument("--detector", help="comma-separated detector names: "
                         + ", ".join(sorted(DETECTORS)))
-    parser.add_argument("--runs", type=int, help="runs per cell (default 100)")
+    parser.add_argument("--runs", type=int,
+                        help=f"runs per cell (default {ExperimentConfig.runs})")
     parser.add_argument("--seed", type=int, help="base seed; run i uses seed+i "
-                        "(default 1)")
+                        f"(default {ExperimentConfig.seed})")
     parser.add_argument("--window-size", type=int, dest="window_size",
-                        help="detector window size (default 25, or 100 for "
-                        "circles/led)")
+                        help="detector window size (default per stream: "
+                        f"{_per_family(WINDOW_DEFAULTS)})")
     parser.add_argument("--delta", type=float, help="confidence level of the "
-                        "windowed detectors (default 1e-6)")
+                        f"windowed detectors (default {ExperimentConfig.delta})")
     parser.add_argument("--accept-delay", type=int, dest="accept_delay",
-                        help="acceptable delay length (default 250, or 1000 "
-                        "for circles/led)")
+                        help="acceptable delay length (default per stream: "
+                        f"{_per_family(ACCEPT_DELAY_DEFAULTS)})")
     parser.add_argument("--noise", type=float, help="class noise rate of "
-                        "synthetic streams (default 0.10)")
-    parser.add_argument("--policy", help="adaptation policy: reset (default), "
-                        "none, or blind:<period>")
+                        f"synthetic streams (default {ExperimentConfig.noise})")
+    parser.add_argument("--policy", help="adaptation policy: reset, none, or "
+                        f"blind:<period> (default {ExperimentConfig.policy})")
     parser.add_argument("--out", help="per-run CSV path (aggregate rows go to "
                         "<out stem>_aggregate<ext>)")
     parser.add_argument("--dump", help="write the synthetic stream to this "
@@ -100,14 +109,18 @@ def _parse_set_args(pairs) -> dict:
             raise UsageError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         try:
-            params[key.strip()] = float(value)
+            number = float(value)
         except ValueError as exc:
             raise UsageError(f"--set {key}: {value!r} is not a number") from exc
+        if not math.isfinite(number):
+            raise UsageError(f"--set {key}: {value!r} is not a finite number")
+        params[key.strip()] = number
     return params
 
 
 _CASTS = {"runs": int, "seed": int, "window_size": int, "delta": float,
           "accept_delay": int, "noise": float}
+_CONFIG_FLAGS = (*_CASTS, "policy")
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -134,32 +147,25 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = _merge_config(args)
         params = _parse_set_args(args.set)
 
+        # Flags left unset take ExperimentConfig's defaults.
+        given = {key: getattr(args, key) for key in _CONFIG_FLAGS
+                 if getattr(args, key) is not None}
+
         if args.dump:
-            if not args.stream or "," in args.stream:
+            config = ExperimentConfig(stream=args.stream or "", params=params, **given)
+            if config.is_csv:  # no stream, a list of streams, or a CSV path
                 raise UsageError("--dump needs exactly one synthetic --stream")
-            spec = StreamSpec(family=args.stream,
-                              length=int(params.get("length", 100_000)),
-                              noise=args.noise if args.noise is not None else 0.10,
-                              seed=args.seed if args.seed is not None else 1)
-            dump_stream(spec, args.dump)
+            dump_stream(_build_stream_spec(config, config.seed), args.dump)
             return EXIT_OK
 
         if not args.stream:
             raise UsageError("--stream is required (or supply it via --config)")
         streams = [s.strip() for s in args.stream.split(",") if s.strip()]
-        detectors = [d.strip() for d in (args.detector or "none").split(",")
+        if not streams:
+            raise UsageError(f"--stream {args.stream!r} names no stream")
+        detectors = [d.strip() for d in (args.detector or ExperimentConfig.detector).split(",")
                      if d.strip()]
-        base = ExperimentConfig(
-            stream=streams[0] if streams else "sine1",
-            detector="none",
-            runs=args.runs if args.runs is not None else 100,
-            seed=args.seed if args.seed is not None else 1,
-            window_size=args.window_size,
-            delta=args.delta if args.delta is not None else 1e-6,
-            accept_delay=args.accept_delay,
-            noise=args.noise if args.noise is not None else 0.10,
-            policy=args.policy or "reset",
-            params=params)
+        base = ExperimentConfig(stream=streams[0], params=params, **given)
         report = run_matrix(streams, detectors, base, out=args.out)
         table = format_console_table(report.aggregates)
         if table:

@@ -192,83 +192,35 @@ class MDDM(DriftDetector):
         return Verdict.NO_CHANGE
 
     def drift_points(self, bits) -> list[int]:
-        """One-pass vectorised :meth:`DriftDetector.drift_points`.
-
-        Window means are computed once for the whole sequence; the
-        running-maximum scan then jumps over the refill gap after each
-        internal reset, so the cost stays linear no matter how many
-        drifts occur.
-        """
-        bits = np.asarray(bits, dtype=np.float64)
-        total = bits.size
-        n = self.n
-        out: list[int] = []
-        i = 0
-        if self._win:
-            # Step until the window holds only new bits or empties itself.
-            target = min(n - 1, total)
-            while i < target:
-                verdict = self.step(bits[i])
-                i += 1
-                if verdict is Verdict.DRIFT:
-                    out.append(i - 1)
-                    break
-        k_start = 0 if self._win else i
-        if total < n + k_start:
-            for j in range(i, total):
-                if self.step(bits[j]) is Verdict.DRIFT:
-                    out.append(j)
-            return out
-        means = np.correlate(bits, self._v, "valid")
-        size = means.size
-        k = k_start
-        mu_max = self.mu_max
-        eps = self.epsilon
-        chunk = _SCAN_CHUNK
-        while k < size:
-            block = means[k:k + chunk]
-            running = np.maximum.accumulate(block)
-            np.maximum(running, mu_max, out=running)
-            hits = running - block >= eps
-            if hits.any():
-                j = k + int(np.argmax(hits))
-                out.append(j + n - 1)
-                mu_max = 0.0
-                k = j + n
-                chunk = _SCAN_CHUNK
-            else:
-                mu_max = float(running[-1])
-                k += block.size
-                chunk = min(chunk * 2, _SCAN_CHUNK_MAX)
-        tail_start = out[-1] + 1 if out else None
-        if tail_start is not None and total - tail_start < n:
-            self._win = [int(b) for b in bits[tail_start:]]
-            self.mu_max = 0.0
-        else:
-            self._win = [int(b) for b in bits[total - n:]]
-            self.mu_max = mu_max
-        return out
+        """One-pass vectorised :meth:`DriftDetector.drift_points`."""
+        return self._drifts(bits, first_only=False)
 
     def scan(self, bits) -> Optional[int]:
         """Vectorised :meth:`DriftDetector.scan`; same verdicts as step()."""
-        bits = np.asarray(bits, dtype=np.float64)
-        total = bits.size
+        hits = self._drifts(bits, first_only=True)
+        return hits[0] if hits else None
+
+    def _drifts(self, bits, first_only: bool) -> list[int]:
+        """Indices of the Drift verdicts step() would give over ``bits``.
+
+        The held window is prepended to the new bits, so one correlation
+        yields the mean of every full window the bits complete.  The
+        running-maximum scan then jumps over the refill gap after each
+        internal reset, so the cost stays linear no matter how many
+        drifts occur.  With ``first_only`` the scan stops at the first
+        drift, leaving the bits after it unconsumed.
+        """
+        held = len(self._win)
+        seq = np.concatenate([np.asarray(self._win, dtype=np.float64),
+                              np.asarray(bits, dtype=np.float64)])
         n = self.n
-        if total == 0:
-            return None
-        # Until the window consists purely of new bits, defer to step().
-        warm = 0 if not self._win else min(n - 1, total)
-        for i in range(warm):
-            if self.step(bits[i]) is Verdict.DRIFT:
-                return i
-        if total < n:
-            for i in range(warm, total):
-                self.step(bits[i])
-            return None
-        means = np.correlate(bits, self._v, "valid")
+        # np.correlate swaps its inputs when the first is the shorter one.
+        means = np.correlate(seq, self._v, "valid") if seq.size >= n else seq[:0]
+        out: list[int] = []
         mu_max = self.mu_max
         eps = self.epsilon
-        k = 0
+        k = max(held - n + 1, 0)  # first window that ends in the new bits
+        start = 0  # first bit of seq since the last reset
         chunk = _SCAN_CHUNK
         while k < means.size:
             block = means[k:k + chunk]
@@ -276,15 +228,21 @@ class MDDM(DriftDetector):
             np.maximum(running, mu_max, out=running)
             hits = running - block >= eps
             if hits.any():
-                j = int(np.argmax(hits))
-                self.reset()
-                return k + j + n - 1
-            mu_max = running[-1]
-            k += chunk
-            chunk = min(chunk * 2, _SCAN_CHUNK_MAX)
-        self.mu_max = float(mu_max)
-        self._win = [int(b) for b in bits[total - n:]]
-        return None
+                start = k + int(np.argmax(hits)) + n
+                out.append(start - 1 - held)
+                if first_only:
+                    self.reset()
+                    return out
+                mu_max = 0.0
+                k = start
+                chunk = _SCAN_CHUNK
+            else:
+                mu_max = float(running[-1])
+                k += block.size
+                chunk = min(chunk * 2, _SCAN_CHUNK_MAX)
+        self._win = seq[max(start, seq.size - n):].astype(np.int64).tolist()
+        self.mu_max = mu_max
+        return out
 
 
 def fhddm(n: int = 25, delta: float = DEFAULT_DELTA) -> MDDM:

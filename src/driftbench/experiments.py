@@ -15,13 +15,15 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .detectors import ADWIN, CUSUM, DDM, EDDM, MDDM, RDDM, Arithmetic, Euler, Geometric, PageHinkley, fhddm
+from .detectors.mddm import DEFAULT_DELTA
 from .errors import DataFormatError, UsageError
 from .evaluation import AggregateRow, DriftScore, aggregate, score_run, unscored_row
 from .learners import NaiveBayes, prequential_run
-from .streams import ConceptSchedule, Stream, StreamSpec, generate_stream, load_csv_stream
+from .streams import (DEFAULT_LENGTH, DEFAULT_NOISE, Stream, StreamSpec, default_schedule,
+                      generate_stream, load_csv_stream)
 
 SYNTHETIC_FAMILIES = ("sine1", "mixed", "circles", "led")
 
@@ -31,91 +33,43 @@ SYNTHETIC_FAMILIES = ("sine1", "mixed", "circles", "led")
 WINDOW_DEFAULTS = {"sine1": 25, "mixed": 25, "circles": 100, "led": 100, "csv": 25}
 ACCEPT_DELAY_DEFAULTS = {"sine1": 250, "mixed": 250, "circles": 1000, "led": 1000}
 
-MDDM_DELTA_DEFAULT = 1e-6
+
+def _mddm(scheme):
+    """Constructor of an MDDM whose weight scheme takes the extra keywords."""
+    def build(n, delta, **scheme_params):
+        return MDDM(scheme(**scheme_params), n=n, delta=delta)
+    return build
 
 
-def _make_mddm_a(window, delta, params):
-    return MDDM(Arithmetic(params.get("d", 0.01)), n=window, delta=delta)
-
-
-def _make_mddm_g(window, delta, params):
-    return MDDM(Geometric(params.get("r", 1.01)), n=window, delta=delta)
-
-
-def _make_mddm_e(window, delta, params):
-    return MDDM(Euler(params.get("lambda", 0.01)), n=window, delta=delta)
-
-
-def _make_fhddm(window, delta, params):
-    return fhddm(n=window, delta=delta)
-
-
-def _make_cusum(window, delta, params):
-    return CUSUM(slack=params.get("delta", 0.005),
-                 threshold=params.get("lambda", 50.0),
-                 min_instances=int(params.get("min_instances", 30)))
-
-
-def _make_page_hinkley(window, delta, params):
-    return PageHinkley(slack=params.get("delta", 0.005),
-                       threshold=params.get("lambda", 50.0))
-
-
-def _make_ddm(window, delta, params):
-    return DDM(warning_level=params.get("warning_level", 2.0),
-               drift_level=params.get("drift_level", 3.0),
-               min_instances=int(params.get("min_instances", 30)))
-
-
-def _make_eddm(window, delta, params):
-    return EDDM(alpha=params.get("alpha", 0.95),
-                beta=params.get("beta", 0.90),
-                min_errors=int(params.get("min_errors", 30)))
-
-
-def _make_rddm(window, delta, params):
-    return RDDM(warning_level=params.get("warning_level", 1.773),
-                drift_level=params.get("drift_level", 2.258),
-                max_concept=int(params.get("max_concept", 40000)),
-                min_stable=int(params.get("min_stable", 7000)),
-                warn_limit=int(params.get("warn_limit", 1400)),
-                min_instances=int(params.get("min_instances", 129)))
-
-
-def _make_adwin(window, delta, params):
-    return ADWIN(delta=params.get("delta", 0.002),
-                 max_window=int(params.get("max_window", 32768)))
-
-
-@dataclass(frozen=True)
-class _DetectorEntry:
-    factory: Callable
-    param_keys: frozenset
-    uses_confidence: bool  # whether the --delta confidence flag applies
-
-
+# name -> (constructor, {--set key: constructor keyword}).  Only the keys
+# the user set are passed, so every default is the constructor's own.
+# "none" runs without a detector.
 DETECTORS = {
-    "mddm_a": _DetectorEntry(_make_mddm_a, frozenset({"d", "delta"}), True),
-    "mddm_g": _DetectorEntry(_make_mddm_g, frozenset({"r", "delta"}), True),
-    "mddm_e": _DetectorEntry(_make_mddm_e, frozenset({"lambda", "delta"}), True),
-    "fhddm": _DetectorEntry(_make_fhddm, frozenset({"delta"}), True),
-    "cusum": _DetectorEntry(
-        _make_cusum, frozenset({"delta", "lambda", "min_instances"}), False),
-    "page_hinkley": _DetectorEntry(
-        _make_page_hinkley, frozenset({"delta", "lambda"}), False),
-    "ddm": _DetectorEntry(
-        _make_ddm, frozenset({"warning_level", "drift_level", "min_instances"}), False),
-    "eddm": _DetectorEntry(
-        _make_eddm, frozenset({"alpha", "beta", "min_errors"}), False),
-    "rddm": _DetectorEntry(
-        _make_rddm,
-        frozenset({"warning_level", "drift_level", "max_concept", "min_stable",
-                   "warn_limit", "min_instances"}), False),
-    "adwin": _DetectorEntry(_make_adwin, frozenset({"delta", "max_window"}), False),
-    "none": _DetectorEntry(lambda window, delta, params: None, frozenset(), False),
+    "mddm_a": (_mddm(Arithmetic), {"d": "d", "delta": "delta"}),
+    "mddm_g": (_mddm(Geometric), {"r": "r", "delta": "delta"}),
+    "mddm_e": (_mddm(Euler), {"lambda": "rate", "delta": "delta"}),
+    "fhddm": (fhddm, {"delta": "delta"}),
+    "cusum": (CUSUM, {"delta": "slack", "lambda": "threshold",
+                      "min_instances": "min_instances"}),
+    "page_hinkley": (PageHinkley, {"delta": "slack", "lambda": "threshold"}),
+    "ddm": (DDM, {"warning_level": "warning_level", "drift_level": "drift_level",
+                  "min_instances": "min_instances"}),
+    "eddm": (EDDM, {"alpha": "alpha", "beta": "beta", "min_errors": "min_errors"}),
+    "rddm": (RDDM, {"warning_level": "warning_level", "drift_level": "drift_level",
+                    "max_concept": "max_concept", "min_stable": "min_stable",
+                    "warn_limit": "warn_limit", "min_instances": "min_instances"}),
+    "adwin": (ADWIN, {"delta": "delta", "max_window": "max_window"}),
+    "none": (None, {}),
 }
 
-STREAM_PARAM_KEYS = frozenset({"length", "zeta", "drift_every"})
+# The windowed detectors also take the cell's window as ``n`` and the
+# --delta confidence as ``delta``; an explicit --set delta wins.
+WINDOWED = frozenset({"mddm_a", "mddm_g", "mddm_e", "fhddm"})
+
+# Stream --set keys that reshape the family's stock schedule, mapped to
+# the keywords of streams.default_schedule.
+SCHEDULE_KEYS = {"drift_every": "every", "zeta": "transition"}
+STREAM_PARAM_KEYS = frozenset({"length", *SCHEDULE_KEYS})
 
 RUN_CSV_FIELDS = ("stream", "detector", "seed", "run", "delay_mean", "tp",
                   "fp", "fn", "accuracy", "alarm_count")
@@ -134,9 +88,9 @@ class ExperimentConfig:
     runs: int = 100
     seed: int = 1
     window_size: Optional[int] = None
-    delta: float = MDDM_DELTA_DEFAULT
+    delta: float = DEFAULT_DELTA
     accept_delay: Optional[int] = None
-    noise: float = 0.10
+    noise: float = DEFAULT_NOISE
     policy: str = "reset"
     params: dict = field(default_factory=dict)
     out: Optional[str] = None
@@ -153,9 +107,13 @@ class ExperimentConfig:
                 f"{', '.join(sorted(DETECTORS))}")
         if self.runs < 1:
             raise UsageError(f"runs must be >= 1, got {self.runs}")
+        for name in ("window_size", "accept_delay"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise UsageError(f"{name} must be >= 1, got {value}")
         # Keys only need to be meaningful to SOME detector so one --set can
-        # serve a whole matrix; each factory picks the keys it understands.
-        known = STREAM_PARAM_KEYS.union(*(e.param_keys for e in DETECTORS.values()))
+        # serve a whole matrix; each detector takes the keys it understands.
+        known = STREAM_PARAM_KEYS.union(*(keys for _, keys in DETECTORS.values()))
         unknown = set(self.params) - known
         if unknown:
             raise UsageError(
@@ -192,30 +150,35 @@ def _stream_family(config: ExperimentConfig) -> str:
 
 
 def _build_stream_spec(config: ExperimentConfig, seed: int) -> StreamSpec:
-    family = config.stream.lower()
-    length = int(config.params.get("length", 100_000))
-    schedule = None
-    if "zeta" in config.params or "drift_every" in config.params:
-        abrupt = family in ("sine1", "mixed")
-        every = int(config.params.get("drift_every", 20_000 if abrupt else 25_000))
-        zeta = int(config.params.get("zeta", 50 if abrupt else 500))
-        schedule = ConceptSchedule(tuple(range(every, length, every)), zeta)
-    return StreamSpec(family=family, length=length, noise=config.noise,
+    params = config.params
+    length = int(params.get("length", DEFAULT_LENGTH))
+    schedule = default_schedule(
+        config.stream.lower(), length,
+        **{kw: int(params[key]) for key, kw in SCHEDULE_KEYS.items() if key in params})
+    return StreamSpec(family=config.stream, length=length, noise=config.noise,
                       schedule=schedule, seed=seed)
 
 
-def _make_detector(config: ExperimentConfig, window: int):
-    entry = DETECTORS[config.detector]
-    delta = config.params.get("delta", config.delta) if entry.uses_confidence \
-        else config.delta
-    return entry.factory(window, delta, config.params)
+def _build_detector(config: ExperimentConfig, window: int):
+    """The cell's detector, or None; out-of-domain values are usage errors."""
+    constructor, keys = DETECTORS[config.detector]
+    if constructor is None:
+        return None
+    kwargs = {"n": window, "delta": config.delta} if config.detector in WINDOWED else {}
+    kwargs.update((kw, config.params[key]) for key, kw in keys.items() if key in config.params)
+    try:
+        return constructor(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def run_experiment(config: ExperimentConfig,
                    stream_cache: Optional[dict] = None) -> ExperimentResult:
     """Execute one cell: R runs, scoring, aggregation, optional CSV output."""
     family = _stream_family(config)
-    window = config.window_size or WINDOW_DEFAULTS[family]
+    window = WINDOW_DEFAULTS[family] if config.window_size is None else config.window_size
+    # Built once, so a bad parameter fails the cell before its first run.
+    detector = _build_detector(config, window)
     csv_stream: Optional[Stream] = None
     if config.is_csv:
         cache_key = config.stream
@@ -227,7 +190,8 @@ def run_experiment(config: ExperimentConfig,
                 stream_cache[cache_key] = csv_stream
         accept_delay = None
     else:
-        accept_delay = config.accept_delay or ACCEPT_DELAY_DEFAULTS[family]
+        accept_delay = (ACCEPT_DELAY_DEFAULTS[family] if config.accept_delay is None
+                        else config.accept_delay)
 
     results: list[RunResult] = []
     for run_index in range(config.runs):
@@ -236,7 +200,8 @@ def run_experiment(config: ExperimentConfig,
             stream = csv_stream
         else:
             stream = generate_stream(_build_stream_spec(config, seed))
-        detector = _make_detector(config, window)
+        if detector is not None:
+            detector.reset()
         record = prequential_run(stream, NaiveBayes(stream.schema), detector,
                                  policy=config.policy)
         if csv_stream is None:

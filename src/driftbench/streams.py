@@ -101,14 +101,26 @@ class ConceptSchedule:
         return len(self.positions) + 1
 
 
-def default_schedule(family: str, length: int) -> ConceptSchedule:
+# Drift spacing and transition length of the stock schedules: abrupt
+# (sine1/mixed) and gradual (circles/led).
+_STOCK_SCHEDULES = {"sine1": (20_000, 50), "mixed": (20_000, 50),
+                    "circles": (25_000, 500), "led": (25_000, 500)}
+
+
+def default_schedule(family: str, length: int, every: Optional[int] = None,
+                     transition: Optional[int] = None) -> ConceptSchedule:
     """The stock schedule: abrupt every 20k (sine1/mixed, transition 50),
-    gradual every 25k (circles/led, transition 500)."""
-    if family in ("sine1", "mixed"):
-        return ConceptSchedule(tuple(range(20_000, length, 20_000)), 50)
-    if family in ("circles", "led"):
-        return ConceptSchedule(tuple(range(25_000, length, 25_000)), 500)
-    raise UsageError(f"no default schedule for stream family {family!r}")
+    gradual every 25k (circles/led, transition 500).  ``every`` and
+    ``transition`` replace the family's drift spacing and transition
+    length."""
+    if family not in _STOCK_SCHEDULES:
+        raise UsageError(f"no default schedule for stream family {family!r}")
+    stock_every, stock_transition = _STOCK_SCHEDULES[family]
+    every = stock_every if every is None else every
+    if every < 1:
+        raise UsageError(f"drift spacing must be >= 1, got {every}")
+    return ConceptSchedule(tuple(range(every, length, every)),
+                           stock_transition if transition is None else transition)
 
 
 @dataclass(frozen=True)
@@ -345,7 +357,8 @@ class CsvStreamReader:
     Nominal values are interned to integer codes in first-seen order.
     Label strings that are nonnegative integers are taken verbatim as
     class codes (so dumped streams load back with identical labels);
-    anything else is interned in first-seen order.
+    otherwise labels are class names, interned in first-seen order.  A
+    label column mixing the two is a :class:`DataFormatError`.
 
     Rows are yielded one at a time, so arbitrarily large files can be
     consumed without materialising them; the inferred ``kinds``,
@@ -408,7 +421,16 @@ class CsvStreamReader:
                         codes = self.nominal_codes[j]
                         attrs.append(codes.setdefault(value, len(codes)))
                 raw_label = row[-1]
-                if _INT_LABEL.match(raw_label):
+                # Names are interned from 0, so an integer code in the same
+                # column could share a name's code.
+                is_code = bool(_INT_LABEL.match(raw_label))
+                seen_names = bool(self.label_codes)
+                seen_codes = self.max_label >= 0 and not seen_names
+                if (is_code and seen_names) or (not is_code and seen_codes):
+                    raise DataFormatError(
+                        f"{self.path}: line {line}: label {raw_label!r} mixes "
+                        "integer class codes with class names")
+                if is_code:
                     label = int(raw_label)
                 else:
                     label = self.label_codes.setdefault(raw_label, len(self.label_codes))

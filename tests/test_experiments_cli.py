@@ -1,12 +1,17 @@
 """Experiment runner and command-line surface."""
 
+import copy
 import csv
 
+import numpy as np
 import pytest
 
-from driftbench import ExperimentConfig, UsageError, run_experiment, run_matrix
+from driftbench import (ADWIN, CUSUM, DDM, EDDM, MDDM, RDDM, Arithmetic, ConceptSchedule,
+                        Euler, ExperimentConfig, Geometric, PageHinkley, StreamSpec, UsageError,
+                        dump_stream, fhddm, run_experiment, run_matrix)
+from driftbench import experiments
 from driftbench.cli import main
-from driftbench.experiments import AGG_CSV_FIELDS, RUN_CSV_FIELDS
+from driftbench.experiments import AGG_CSV_FIELDS, DETECTORS, RUN_CSV_FIELDS
 
 FAST = {"length": 2_000}
 
@@ -204,3 +209,152 @@ class TestCli:
         captured = capsys.readouterr()
         assert "fhddm" in captured.out
         assert "bogus" in captured.err
+
+
+class TestDetectorTable:
+    WINDOW = 30
+
+    # Per detector: each --set key, a value inside its domain, and where
+    # the built detector keeps it.
+    SET_CASES = {
+        "mddm_a": {"d": (0.02, lambda det: det.scheme.d),
+                   "delta": (1e-3, lambda det: det.delta)},
+        "mddm_g": {"r": (1.02, lambda det: det.scheme.r),
+                   "delta": (1e-3, lambda det: det.delta)},
+        "mddm_e": {"lambda": (0.02, lambda det: det.scheme.rate),
+                   "delta": (1e-3, lambda det: det.delta)},
+        "fhddm": {"delta": (1e-3, lambda det: det.delta)},
+        "cusum": {"delta": (0.01, lambda det: det.slack),
+                  "lambda": (40.0, lambda det: det.threshold),
+                  "min_instances": (10, lambda det: det.min_instances)},
+        "page_hinkley": {"delta": (0.01, lambda det: det.slack),
+                         "lambda": (40.0, lambda det: det.threshold)},
+        "ddm": {"warning_level": (2.5, lambda det: det.warning_level),
+                "drift_level": (3.5, lambda det: det.drift_level),
+                "min_instances": (10, lambda det: det.min_instances)},
+        "eddm": {"alpha": (0.92, lambda det: det.alpha),
+                 "beta": (0.8, lambda det: det.beta),
+                 "min_errors": (10, lambda det: det.min_errors)},
+        "rddm": {"warning_level": (1.5, lambda det: det.warning_level),
+                 "drift_level": (2.0, lambda det: det.drift_level),
+                 "max_concept": (30000, lambda det: det.max_concept),
+                 "min_stable": (5000, lambda det: det.min_stable),
+                 "warn_limit": (1000, lambda det: det.warn_limit),
+                 "min_instances": (100, lambda det: det.min_instances)},
+        "adwin": {"delta": (0.01, lambda det: det.delta),
+                  "max_window": (4096, lambda det: det.max_window)},
+    }
+
+    BARE = {
+        "mddm_a": lambda n: MDDM(Arithmetic(), n=n),
+        "mddm_g": lambda n: MDDM(Geometric(), n=n),
+        "mddm_e": lambda n: MDDM(Euler(), n=n),
+        "fhddm": lambda n: fhddm(n=n),
+        "cusum": lambda n: CUSUM(),
+        "page_hinkley": lambda n: PageHinkley(),
+        "ddm": lambda n: DDM(),
+        "eddm": lambda n: EDDM(),
+        "rddm": lambda n: RDDM(),
+        "adwin": lambda n: ADWIN(),
+    }
+
+    def built(self, monkeypatch, detector, params):
+        """The detector run_experiment hands to its run, before the run."""
+        seen = []
+        real = experiments.prequential_run
+
+        def spy(stream, model, det, **kwargs):
+            seen.append(copy.deepcopy(det))
+            return real(stream, model, det, **kwargs)
+
+        monkeypatch.setattr(experiments, "prequential_run", spy)
+        run_experiment(ExperimentConfig(stream="sine1", detector=detector, runs=1,
+                                        window_size=self.WINDOW,
+                                        params=dict(FAST, **params)))
+        return seen[0]
+
+    def test_cases_cover_the_table(self):
+        assert set(self.SET_CASES) == set(DETECTORS) - {"none"}
+        assert set(self.BARE) == set(self.SET_CASES)
+        for name, cases in self.SET_CASES.items():
+            assert set(cases) == set(DETECTORS[name][1]), name
+
+    @pytest.mark.parametrize("name", sorted(SET_CASES))
+    def test_each_set_key_reaches_the_detector(self, monkeypatch, name):
+        for key, (value, read) in self.SET_CASES[name].items():
+            assert read(self.built(monkeypatch, name, {key: value})) == value, key
+
+    @pytest.mark.parametrize("name", sorted(BARE))
+    def test_defaults_are_the_constructors(self, monkeypatch, name):
+        built = vars(self.built(monkeypatch, name, {}))
+        bare = vars(self.BARE[name](self.WINDOW))
+        assert built.keys() == bare.keys()
+        for key, value in bare.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(built[key], value), key
+            else:
+                assert built[key] == value, key
+
+    def test_none_builds_no_detector(self, monkeypatch):
+        assert self.built(monkeypatch, "none", {}) is None
+
+    def test_unknown_key_lists_the_table_keys(self):
+        with pytest.raises(UsageError, match="unknown parameter") as info:
+            ExperimentConfig(stream="sine1", params={"bogus": 1.0})
+        for _, keys in DETECTORS.values():
+            for key in keys:
+                assert repr(key) in str(info.value)
+
+
+class TestOutOfDomainValues:
+    @pytest.mark.parametrize("detector,setting", [
+        ("mddm_a", "delta=2"), ("ddm", "warning_level=5"), ("adwin", "max_window=1"),
+        ("cusum", "lambda=-1"), ("mddm_a", "d=-1")])
+    def test_bad_set_value_is_usage_error(self, detector, setting, capsys):
+        code = main(["--stream", "sine1", "--detector", detector, "--runs", "1",
+                     "--set", "length=2000", "--set", setting])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and detector in err
+
+    def test_bad_set_value_fails_only_its_cell(self):
+        base = ExperimentConfig(stream="sine1", runs=1, seed=3,
+                                params=dict(FAST, **{"lambda": -1.0}))
+        report = run_matrix(["sine1"], ["mddm_a", "cusum"], base)
+        assert [c.detector for c in report.errors] == ["cusum"]
+        assert isinstance(report.errors[0].error, UsageError)
+        assert [row.detector for row in report.aggregates] == ["mddm_a"]
+
+    @pytest.mark.parametrize("flag", ["--window-size", "--accept-delay"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_window_and_accept_delay_below_one_rejected(self, flag, value):
+        assert main(["--stream", "sine1", "--detector", "mddm_a", "--runs", "1",
+                     "--set", "length=2000", flag, value]) == 2
+
+    @pytest.mark.parametrize("field", ["window_size", "accept_delay"])
+    def test_config_rejects_zero(self, field):
+        with pytest.raises(UsageError, match=field):
+            ExperimentConfig(stream="sine1", **{field: 0})
+
+    def test_mixed_csv_labels_are_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "labels.csv"
+        path.write_text("x,label\n0.1,0\n0.2,UP\n0.3,1\n0.4,DOWN\n")
+        assert main(["--stream", str(path), "--detector", "none", "--runs", "1"]) == 3
+        assert "line 3" in capsys.readouterr().err
+
+
+class TestDumpSchedule:
+    def test_dump_honours_schedule_keys(self, tmp_path):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        assert main(["--stream", "sine1", "--seed", "3", "--dump", str(got),
+                     "--set", "length=3000", "--set", "drift_every=1000",
+                     "--set", "zeta=20"]) == 0
+        dump_stream(StreamSpec("sine1", length=3000, seed=3,
+                               schedule=ConceptSchedule((1000, 2000), 20)), want)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_dump_rejects_unknown_keys(self, tmp_path):
+        path = tmp_path / "dump.csv"
+        assert main(["--stream", "sine1", "--dump", str(path),
+                     "--set", "length=100", "--set", "bogus=1"]) == 2
+        assert not path.exists()

@@ -244,6 +244,17 @@ class TestCsvRoundTrip:
         assert stream.schema.n_classes == 2
         assert stream.schema.kinds == (NUMERIC, NUMERIC)
 
+    @pytest.mark.parametrize("labels", [("0", "UP", "1", "DOWN"),
+                                        ("UP", "0", "DOWN", "1")])
+    def test_labels_mixing_codes_and_names_rejected(self, tmp_path, labels):
+        # Integer labels are class codes and names are interned from 0, so
+        # a column holding both would put two classes on one code.
+        path = tmp_path / "mixed.csv"
+        path.write_text("x,label\n" + "".join(
+            f"0.{i},{label}\n" for i, label in enumerate(labels)))
+        with pytest.raises(DataFormatError, match="line 3"):
+            load_csv_stream(path)
+
     def test_nominal_attribute_interning(self, tmp_path):
         path = tmp_path / "nom.csv"
         path.write_text("color,label\nred,A\nblue,B\nred,A\n")
