@@ -16,15 +16,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from typing import Optional
 
 import numpy as np
 
 from .base import DriftDetector, Verdict
-
-try:
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _njit = None
 
 
 class CUSUM(DriftDetector):
@@ -295,44 +291,31 @@ class RDDM(DDM):
         return verdict
 
 
-def _adwin_first_cut_numpy(totals, lo, hi, threshold_scale, inv):
-    W = hi - lo
-    if W < 2:
-        return -1
-    base = totals[lo]
-    prefix = totals[lo + 1:hi] - base
-    total = totals[hi] - base
-    inv0 = inv[0:W - 1]
-    inv1 = inv[W - 2::-1]
+# ADWIN certifies the splits of its whole window once per _EPOCH bits and
+# the survivors once per _BATCH bits, and tests at most _GRID (step, split)
+# pairs at a time.  The sizes trade passes over the window against the
+# size of the temporaries, which _GRID keeps at 64 KB: with temporaries of
+# 128 KB and more, the allocator returned and refetched their pages on
+# every test, which made a step on a 20k-bit window several times slower.
+# None of the sizes changes a verdict.
+_EPOCH = 1024
+_BATCH = 64
+_GRID = 1 << 13
+
+
+def _significant(prefix, total, inv0, inv1, scale):
+    """ADWIN's test of a split into n0 = 1/inv0 older bits holding
+    ``prefix`` ones and n1 = 1/inv1 newer bits, out of a window holding
+    ``total`` ones.
+
+    The test |mean0 - mean1| >= sqrt(scale * (1/n0 + 1/n1)) is evaluated
+    in a squared form that takes no roots.  The arguments broadcast.
+    """
     weight = inv0 + inv1
-    diff = prefix * weight - total * inv1
-    hits = diff * diff >= threshold_scale * weight
-    if not hits.any():
-        return -1
-    return int(np.argmax(hits)) + 1
-
-
-if _njit is not None:
-
-    @_njit(cache=True)
-    def _adwin_first_cut_numba(totals, lo, hi, threshold_scale, inv):  # pragma: no cover - jitted
-        W = hi - lo
-        if W < 2:
-            return -1
-        base = totals[lo]
-        total = totals[hi] - base
-        for k in range(1, W):
-            inv0 = inv[k - 1]
-            inv1 = inv[W - k - 1]
-            weight = inv0 + inv1
-            diff = (totals[lo + k] - base) * weight - total * inv1
-            if diff * diff >= threshold_scale * weight:
-                return k
-        return -1
-
-    _adwin_first_cut = _adwin_first_cut_numba
-else:  # pragma: no cover
-    _adwin_first_cut = _adwin_first_cut_numpy
+    diff = prefix * weight
+    diff -= total * inv1
+    diff *= diff
+    return diff >= scale * weight
 
 
 class ADWIN(DriftDetector):
@@ -345,19 +328,34 @@ class ADWIN(DriftDetector):
         |mean(w0) - mean(w1)| >= sqrt( ln(4 n / delta) / (2 m) )
 
     with m the harmonic mean of the two part lengths and n the current
-    window length.  While any significant split exists, the oldest
-    element is dropped; a step that dropped anything reports Drift.
-    The inequality is evaluated in an algebraically equivalent squared
-    form so no roots are taken in the inner loop.
+    window length.  While any significant split exists, the whole older
+    part up to the first significant split is shed; a step that shed
+    anything reports Drift.  Shedding one element at a time would leave
+    the window parked at the significance boundary, where every following
+    step alarms again.  Evictions that merely keep the buffer inside
+    ``max_window`` are bookkeeping, not alarms.  Splits are checked at
+    stride 1 with no bucket compression.
 
-    Splits are checked exhaustively at stride 1 with no bucket
-    compression, trading the classic histogram's speed for directness:
-    a step costs O(window) (numba-compiled scan when available).  When a
-    significant split is found, the whole older part up to the split is
-    shed before rechecking; shedding one element at a time would leave
-    the window parked at the significance boundary, where every
-    following step alarms again.  Evictions that merely keep the buffer
-    inside ``max_window`` are bookkeeping, not alarms.
+    :meth:`scan` looks ahead at the bits it is given (:meth:`step` is a
+    scan of one bit).  A split of the window is certified safe for the
+    next S bits when
+
+        |mu0 - mu1| + min((D + S |mu1 - c|) / n1, S / (n1 + S)) [+ S / (n0 - S)]
+            < sqrt(scale(n) (1/n0 + 1/(n1 + S))) (1 - margin)
+
+    with scale(n) = ln(4 n / delta) / 4, c the window mean, and
+    D = max_s |A_s - s c| over those bits, A_s being the ones among the
+    first s of them.  The left side bounds how far the split's mean
+    difference can move while the bits are appended (the bracketed term
+    covers the bits the window sheds at ``max_window``); the right side
+    bounds its threshold from below, because n never shrinks and n0
+    never grows before a split fires; the margin covers the rounding of
+    the squared test.  The whole window is certified for the next 1024
+    bits, the survivors again for each 64 of them, and only the splits
+    still left and those the 64 bits add are tested, step by step, with
+    the exact squared test.  So the verdicts are those of testing every
+    split after every bit, with no significant split left in the window
+    after a step, at a fraction of the cost.
     """
 
     name = "adwin"
@@ -369,11 +367,11 @@ class ADWIN(DriftDetector):
             raise ValueError(f"max_window must be >= 2, got {max_window}")
         self.delta = float(delta)
         self.max_window = int(max_window)
-        self._inv = 1.0 / np.arange(1.0, max_window + 1.0)
         self.reset()
 
     def reset(self) -> None:
         self._totals = np.zeros(4096)
+        self._inv = 1.0 / np.arange(1.0, 4097.0)  # 1/k, as long as _totals
         self._lo = 0
         self._hi = 0
 
@@ -385,37 +383,138 @@ class ADWIN(DriftDetector):
         """Current window contents, oldest bit first."""
         return np.diff(self._totals[self._lo:self._hi + 1]).astype(np.int64)
 
-    def _append(self, value: float) -> None:
-        if self._hi + 1 >= self._totals.size:
-            lo, hi = self._lo, self._hi
-            if lo > self.max_window:
-                # Rebase so the buffer does not grow with stream length.
-                kept = self._totals[lo:hi + 1] - self._totals[lo]
-                self._totals[:kept.size] = kept
-                self._lo, self._hi = 0, kept.size - 1
-            else:
-                self._totals = np.concatenate(
-                    [self._totals, np.zeros(self._totals.size)])
-        self._totals[self._hi + 1] = self._totals[self._hi] + value
-        self._hi += 1
-
-    def _first_significant_cut(self) -> int:
-        W = self._hi - self._lo
-        if W < 2:
-            return -1
-        scale = math.log(4.0 * W / self.delta) * 0.25
-        return _adwin_first_cut(
-            self._totals, self._lo, self._hi, scale, self._inv)
+    def _scale(self, n: int) -> float:
+        """scale(n) = ln(4 n / delta) / 4 for a window of n bits."""
+        return math.log(4.0 * n / self.delta) * 0.25
 
     def step(self, bit) -> Verdict:
-        if self._hi - self._lo == self.max_window:
-            self._lo += 1
-        self._append(1.0 if bit else 0.0)
+        return _DRIFT if self.scan((bit,)) == 0 else _NO_CHANGE
+
+    def scan(self, bits) -> Optional[int]:
+        """Look-ahead :meth:`DriftDetector.scan`; same verdicts as testing
+        every split after every bit."""
+        bits = np.asarray(bits if isinstance(bits, np.ndarray) else list(bits), dtype=bool)
+        done = 0
+        while done < bits.size:
+            size = min(_EPOCH, bits.size - done)
+            self._stage(bits[done:done + size])
+            if size == 1:  # the shed loop's test is the step's whole test
+                self._advance(1)
+                if self._shed():
+                    return done
+                done += 1
+                continue
+            doubtful = self._uncertified(np.arange(self._lo + 1, self._hi), size)
+            fresh = self._hi  # the first split this epoch adds
+            for offset in range(0, size, _BATCH):
+                width = min(_BATCH, size - offset)
+                lo, hi = self._lo, self._hi
+                cuts = np.concatenate([doubtful[doubtful > lo], np.arange(max(fresh, lo + 1), hi)])
+                cuts = np.concatenate([self._uncertified(cuts, width),
+                                       np.arange(hi, hi + width)])
+                fired = self._first_firing_step(cuts, width)
+                if fired:
+                    self._advance(fired)
+                    self._shed()
+                    return done + offset + fired - 1
+                self._advance(width)
+            done += size
+        return None
+
+    def _stage(self, batch: np.ndarray) -> None:
+        """Write the prefix sums of ``batch`` after the window's."""
+        lo, hi = self._lo, self._hi
+        if hi + batch.size >= self._totals.size:
+            # Rebase so the buffer holds the window, not the stream.
+            kept = self._totals[lo:hi + 1] - self._totals[lo]
+            if 2 * (kept.size + batch.size) > self._totals.size:
+                self._totals = np.zeros(2 * (kept.size + batch.size))
+                self._inv = 1.0 / np.arange(1.0, self._totals.size + 1.0)
+            self._totals[:kept.size] = kept
+            self._lo, self._hi = lo, hi = 0, kept.size - 1
+        self._totals[hi + 1:hi + batch.size + 1] = (
+            self._totals[hi] + batch.cumsum(dtype=np.float64))
+
+    def _advance(self, steps: int) -> None:
+        """Take ``steps`` staged bits into the window."""
+        lo, hi = self._lo, self._hi
+        self._lo = lo + max(0, hi - lo + steps - self.max_window)
+        self._hi = hi + steps
+
+    def _uncertified(self, cuts: np.ndarray, size: int) -> np.ndarray:
+        """The splits among ``cuts`` that the class docstring's bound cannot
+        certify safe for the next ``size`` staged bits."""
+        if cuts.size == 0:
+            return cuts
+        totals, lo, hi = self._totals, self._lo, self._hi
+        n = hi - lo
+        total = totals[hi] - totals[lo]
+        prefix = totals[cuts] - totals[lo]
+        n0 = (cuts - lo).astype(np.float64)
+        n1 = n - n0
+        mean = total / n
+        mu1 = (total - prefix) / n1
+        ones = totals[hi + 1:hi + size + 1] - totals[hi]
+        wander = np.abs(ones - mean * np.arange(1.0, size + 1.0)).max()
+        slack = np.minimum((wander + size * np.abs(mu1 - mean)) / n1,
+                           size / (n1 + size))
+        if n + size > self.max_window:
+            slack += np.where(n0 > size, size / np.maximum(n0 - size, 1.0), np.inf)
+        bound = np.sqrt(self._scale(n) * (1.0 / n0 + 1.0 / (n1 + size)))
+        # The squared test's cancellation error grows like n * 2**-53.
+        bound *= 1.0 - 1e-9 - n * 2.0 ** -48
+        return cuts[np.abs(prefix / n0 - mu1) + slack >= bound]
+
+    def _first_firing_step(self, cuts: np.ndarray, size: int) -> int:
+        """The first of the next ``size`` steps (1-based) at which one of
+        ``cuts`` is a significant split, or 0 if none is."""
+        totals, lo, hi = self._totals, self._lo, self._hi
+        steps = np.arange(1, size + 1)
+        his = hi + steps
+        los = lo + np.maximum(0, hi - lo + steps - self.max_window)
+        ns = his - los
+        scales = np.array([self._scale(n) for n in range(ns[0], ns[-1] + 1)])[ns - ns[0]]
+        rows = size  # the steps before the first firing one found so far
+        width = max(1, _GRID // size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for start in range(0, cuts.size, width):
+                block = cuts[start:start + width]
+                row_lo, row_hi = los[:rows, None], his[:rows, None]
+                n0 = (block - row_lo).astype(np.float64)
+                n1 = (row_hi - block).astype(np.float64)
+                base = totals[row_lo]
+                hits = _significant(totals[block] - base, totals[row_hi] - base,
+                                    1.0 / n0, 1.0 / n1, scales[:rows, None])
+                hits &= (n0 > 0.0) & (n1 > 0.0)
+                fired = hits.any(axis=1)
+                if fired.any():
+                    rows = int(fired.argmax())
+        return rows + 1 if rows < size else 0
+
+    def _shed(self) -> bool:
+        """Drop the older part at the first significant split while one
+        exists; True if anything was dropped."""
         dropped = False
-        while True:
-            split = self._first_significant_cut()
-            if split < 0:
-                break
-            self._lo += split
+        while (cut := self._first_cut()) is not None:
+            self._lo = cut
             dropped = True
-        return Verdict.DRIFT if dropped else Verdict.NO_CHANGE
+        return dropped
+
+    def _first_cut(self) -> Optional[int]:
+        """The window's first significant split, or None."""
+        totals, lo, hi = self._totals, self._lo, self._hi
+        n = hi - lo
+        if n < 2:
+            return None
+        scale = self._scale(n)
+        base = totals[lo]
+        total = totals[hi] - base
+        inv = self._inv
+        for start in range(lo + 1, hi, _GRID):
+            stop = min(start + _GRID, hi)
+            k0, k1 = start - lo, stop - lo  # n0 runs over [k0, k1)
+            hits = _significant(totals[start:stop] - base, total, inv[k0 - 1:k1 - 1],
+                                inv[n - k1:n - k0][::-1], scale)
+            if hits.any():
+                return start + int(hits.argmax())
+        return None

@@ -1,11 +1,17 @@
 """Baseline detectors: unit behavior against independent simulation oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from driftbench import ADWIN, CUSUM, DDM, EDDM, RDDM, PageHinkley, Verdict
+from driftbench import (ADWIN, CUSUM, DDM, EDDM, RDDM, NaiveBayes, PageHinkley, StreamSpec,
+                        Verdict, generate_stream, prequential_run)
+from driftbench.detectors.base import DriftDetector
 
 ALL_DETECTORS = [
     lambda: CUSUM(),
@@ -129,6 +135,69 @@ def adwin_oracle_first_drift(bits, delta=0.002):
         if dropped:
             return i
     return None
+
+
+class StrideOneAdwin(DriftDetector):
+    """Reference ADWIN: after every bit, every split of the window is tested
+    at stride 1 with the squared-form expression and a table of
+    reciprocals, shedding the older part at the first significant split
+    while one exists.  ADWIN must give the same verdicts and windows."""
+
+    def __init__(self, delta=0.002, max_window=32768):
+        self.delta = float(delta)
+        self.max_window = int(max_window)
+        self._inv = 1.0 / np.arange(1.0, max_window + 1.0)
+        self.reset()
+
+    def reset(self):
+        self._totals = np.zeros(1024)
+        self._lo = self._hi = 0
+
+    @property
+    def window(self):
+        return np.diff(self._totals[self._lo:self._hi + 1]).astype(np.int64)
+
+    def _first_significant_cut(self):
+        totals = self._totals[self._lo:self._hi + 1]
+        W = self._hi - self._lo
+        if W < 2:
+            return -1
+        threshold_scale = math.log(4.0 * W / self.delta) * 0.25
+        base = totals[0]
+        prefix = totals[1:W] - base
+        total = totals[W] - base
+        inv0 = self._inv[0:W - 1]
+        inv1 = self._inv[W - 2::-1]
+        weight = inv0 + inv1
+        diff = prefix * weight - total * inv1
+        hits = diff * diff >= threshold_scale * weight
+        if not hits.any():
+            return -1
+        return int(np.argmax(hits)) + 1
+
+    def step(self, bit):
+        if self._hi - self._lo == self.max_window:
+            self._lo += 1
+        if self._hi + 1 == self._totals.size:
+            self._totals = np.concatenate([self._totals, np.zeros(self._totals.size)])
+        self._totals[self._hi + 1] = self._totals[self._hi] + (1.0 if bit else 0.0)
+        self._hi += 1
+        dropped = False
+        while True:
+            split = self._first_significant_cut()
+            if split < 0:
+                break
+            self._lo += split
+            dropped = True
+        return Verdict.DRIFT if dropped else Verdict.NO_CHANGE
+
+
+def piecewise_bernoulli(rng, length):
+    """Bits in a few segments, each with its own success rate."""
+    cuts = np.sort(rng.integers(0, length, size=rng.integers(0, 5)))
+    rates = rng.random(cuts.size + 1)
+    segment = np.searchsorted(cuts, np.arange(length), side="right")
+    return (rng.random(length) < rates[segment]).astype(np.int64)
 
 
 # --- shared properties ----------------------------------------------------
@@ -370,3 +439,68 @@ class TestAdwin:
             ADWIN(delta=1.5)
         with pytest.raises(ValueError):
             ADWIN(max_window=1)
+
+    @pytest.mark.parametrize("max_window", [2, 3, 17, 64, 500, 32768])
+    @pytest.mark.parametrize("delta", [1e-6, 0.002, 0.05, 0.3])
+    def test_scan_matches_stride_one_reference(self, delta, max_window):
+        rng = np.random.default_rng([int(delta * 1e6), max_window])
+        for _ in range(3):
+            bits = piecewise_bernoulli(rng, int(rng.integers(200, 2500)))
+            det, ref = ADWIN(delta, max_window), StrideOneAdwin(delta, max_window)
+            start = 0
+            while start < bits.size:
+                chunk = bits[start:start + int(rng.choice([1, 2, 64, 65, 299, 1024, 1025]))]
+                hit = det.scan(chunk)
+                ref_hit = ref.scan(chunk)
+                assert hit == ref_hit, start
+                start += chunk.size if hit is None else hit + 1
+                assert np.array_equal(det.window, ref.window), start
+
+    def test_scan_takes_any_iterable(self):
+        bits = [1] * 600 + [0] * 200
+        hit = ADWIN().scan(np.array(bits))
+        assert hit is not None
+        assert ADWIN().scan(b for b in bits) == ADWIN().scan(bits) == hit
+
+    def test_scan_resumes_after_a_hit_like_step(self):
+        rng = np.random.default_rng(21)
+        bits = piecewise_bernoulli(rng, 6000)
+        bits[1000:1400] = 0
+        stepped, scanned = ADWIN(0.05), ADWIN(0.05)
+        expected = {}
+        for i, b in enumerate(bits.tolist()):
+            if stepped.step(b) is Verdict.DRIFT:
+                expected[i] = stepped.window
+        assert len(expected) >= 2
+        offset = 0
+        while (hit := scanned.scan(bits[offset:])) is not None:
+            offset += hit + 1
+            assert np.array_equal(scanned.window, expected.pop(offset - 1))
+        assert not expected
+        assert np.array_equal(scanned.window, stepped.window)
+
+    @pytest.mark.parametrize("family,length", [("circles", 30_000), ("led", 5_000)])
+    def test_prequential_reset_runs_match_reference(self, family, length):
+        stream = generate_stream(StreamSpec(family, length=length, seed=4))
+        got = prequential_run(stream, NaiveBayes(stream.schema), ADWIN())
+        want = prequential_run(stream, NaiveBayes(stream.schema), StrideOneAdwin())
+        assert got.alarms and got.alarms == want.alarms
+        assert got.accuracy == want.accuracy
+
+    def test_memory_does_not_grow_with_the_scan(self):
+        """A 100k circles run adds little to the peak RSS after generation:
+        ADWIN's temporaries are bounded by the window and _GRID."""
+        child = (
+            "import resource\n"
+            "from driftbench import ADWIN, StreamSpec, generate_stream, prequential_run\n"
+            "stream = generate_stream(StreamSpec('circles', seed=1))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "prequential_run(stream, detector=ADWIN())\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        grown_kb = int(out.stdout.split()[-1])
+        assert grown_kb < 2048, grown_kb

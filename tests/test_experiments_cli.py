@@ -210,6 +210,14 @@ class TestCli:
         assert "fhddm" in captured.out
         assert "bogus" in captured.err
 
+    def test_huge_max_window_runs_like_the_default(self, tmp_path):
+        args = ["--stream", "sine1", "--detector", "adwin", "--runs", "1",
+                "--set", "length=2000"]
+        huge, default = tmp_path / "huge.csv", tmp_path / "default.csv"
+        assert main(args + ["--set", "max_window=1e12", "--out", str(huge)]) == 0
+        assert main(args + ["--out", str(default)]) == 0
+        assert huge.read_bytes() == default.read_bytes()
+
 
 class TestDetectorTable:
     WINDOW = 30
