@@ -211,6 +211,8 @@ class MDDM(DriftDetector):
         drift, leaving the bits after it unconsumed.
         """
         held = len(self._win)
+        if not isinstance(bits, np.ndarray):
+            bits = np.fromiter(bits, dtype=np.float64)  # any iterable, read once
         seq = np.concatenate([np.asarray(self._win, dtype=np.float64),
                               np.asarray(bits, dtype=np.float64)])
         n = self.n

@@ -151,12 +151,13 @@ def _stream_family(config: ExperimentConfig) -> str:
 
 def _build_stream_spec(config: ExperimentConfig, seed: int) -> StreamSpec:
     params = config.params
-    length = int(params.get("length", DEFAULT_LENGTH))
+    # The spec checks the length before the schedule enumerates its drifts.
+    spec = StreamSpec(family=config.stream, length=int(params.get("length", DEFAULT_LENGTH)),
+                      noise=config.noise, seed=seed)
     schedule = default_schedule(
-        config.stream.lower(), length,
+        spec.family, spec.length,
         **{kw: int(params[key]) for key, kw in SCHEDULE_KEYS.items() if key in params})
-    return StreamSpec(family=config.stream, length=length, noise=config.noise,
-                      schedule=schedule, seed=seed)
+    return replace(spec, schedule=schedule)
 
 
 def _build_detector(config: ExperimentConfig, window: int):

@@ -9,12 +9,18 @@ posterior break toward the lowest class code.
 
 ``prequential_run`` drives a stream through predict -> record bit ->
 detector -> train.  Internally it works block-wise: within a stretch
-where the model is not reset, per-instance predictions are vectorised
-by seeding NumPy cumulative sums with the model's current statistics,
-which reproduces the per-instance arithmetic bit for bit (cumsum
-accumulates left to right exactly like repeated ``+=``) at a fraction
-of the interpreter cost.  Detector alarms cut the stretch: on a Drift
-verdict the adaptation policy decides whether the model restarts.
+where the model is not reset, the predictions of every class are
+vectorised over ``(classes, block)`` arrays by seeding row-wise NumPy
+cumulative sums with the model's current statistics, which reproduces
+the per-instance arithmetic bit for bit (cumsum accumulates left to
+right exactly like repeated ``+=``).  Nominal counts take one cumsum per
+attribute over a one-hot of (value, class) pairs; blocks are shorter
+than ``_BLOCK`` only where that one-hot would exceed ``_ONEHOT_CELLS``.
+On a Drift verdict the adaptation policy decides whether the model
+restarts.  A reset throws away the rest of its block, so the next block
+is no longer than the stretch between the last two resets (at least
+``_FIRST_BLOCK`` rows) and then doubles: alarm cascades waste little,
+rare alarms keep full blocks, and the cost stays linear in the stream.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ from .streams import NOMINAL, NUMERIC, Stream, StreamSchema
 VARIANCE_FLOOR = 1e-6
 _TWO_PI = 2.0 * math.pi
 _BLOCK = 4096
+_FIRST_BLOCK = 64  # shortest block after a detector-driven reset
+_ONEHOT_CELLS = 1 << 17  # a wider nominal one-hot shortens the blocks below _BLOCK
 
 
 class NotTrainedError(RuntimeError):
@@ -119,74 +127,60 @@ class RunRecord:
     bits: Optional[np.ndarray] = None
 
 
-def _seeded_cumsum(offset: float, values: np.ndarray) -> np.ndarray:
-    """Prefix sums starting from ``offset``; index k holds offset plus the
-    first k values, accumulated left to right exactly like repeated +=."""
-    out = np.empty(values.size + 1)
-    out[0] = offset
-    out[1:] = values
-    return np.cumsum(out)
+def _seeded_rows(seeds: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row-wise prefix sums: column k of row r holds ``seeds[r]`` plus the
+    first k values of row r, accumulated left to right exactly like +=."""
+    out = np.empty((values.shape[0], values.shape[1] + 1))
+    out[:, 0] = seeds
+    out[:, 1:] = values
+    return np.cumsum(out, axis=1, out=out)
 
 
 def _block_bits(model: NaiveBayes, X: np.ndarray, y: np.ndarray):
     """Prediction-correctness bits for a block, plus end-of-block stats.
 
     Reproduces, per instance, exactly what predict-then-train would
-    compute, with the model's statistics advanced instance by instance
-    through seeded cumulative sums.
+    compute.  A nominal slot's one-hot has one row per (value, class),
+    keyed ``value * classes + class``; its counts are integers held in
+    float64, so the summation order cannot change them.
     """
     B = y.shape[0]
     m = model.n_classes
     totals = model.total + np.arange(B)
-    scores = np.empty((B, m))
-    end_class = np.empty(m)
+    classes = np.arange(m)[:, None]
+    mask = (y == classes).astype(np.float64)
+    cc_all = _seeded_rows(model.class_counts, mask)
+    cc = cc_all[:, :B]
     end_sums = np.empty_like(model.num_sums)
     end_sumsqs = np.empty_like(model.num_sumsqs)
-    end_nom = [np.empty_like(a) for a in model.nom_counts]
-    nominal_codes = [X[:, j].astype(np.int64) for j, _ in model._nominal]
+    end_nom = []
+    # Flat offset of (class c, column i) in a slot's count rows; adding
+    # value * m * (B + 1) selects the row of the instance's own value.
+    own = classes * (B + 1) + np.arange(B)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for c in range(m):
-            in_class = y == c
-            mask = in_class.astype(np.float64)
-            cc_all = _seeded_cumsum(model.class_counts[c], mask)
-            cc = cc_all[:B]
-            end_class[c] = cc_all[B]
-            score = np.log(cc / totals)
-            safe = np.where(cc > 0, cc, 1.0)
-            for slot, j in enumerate(model._numeric):
-                x = X[:, j]
-                s_all = _seeded_cumsum(model.num_sums[c, slot], x * mask)
-                q_all = _seeded_cumsum(model.num_sumsqs[c, slot], (x * x) * mask)
-                end_sums[c, slot] = s_all[B]
-                end_sumsqs[c, slot] = q_all[B]
-                mean = s_all[:B] / safe
-                var = q_all[:B] / safe - mean * mean
-                var = np.maximum(var, VARIANCE_FLOOR)
-                d = x - mean
-                score += -0.5 * np.log(_TWO_PI * var) - d * d / (2.0 * var)
-            for slot, (j, card) in enumerate(model._nominal):
-                codes = nominal_codes[slot]
-                value_counts = np.empty((card, B))
-                for v in range(card):
-                    cnt_all = _seeded_cumsum(
-                        model.nom_counts[slot][c, v],
-                        ((codes == v) & in_class).astype(np.float64))
-                    value_counts[v] = cnt_all[:B]
-                    end_nom[slot][c, v] = cnt_all[B]
-                counts = value_counts[codes, np.arange(B)]
-                score += np.log((counts + 1.0) / (cc + card))
-            scores[:, c] = np.where(cc > 0, score, -np.inf)
-    bits = (np.argmax(scores, axis=1) == y) & (totals > 0)
-    return bits, (end_class, end_sums, end_sumsqs, end_nom)
-
-
-def _advance(model: NaiveBayes, block_len: int, end_stats) -> None:
-    end_class, end_sums, end_sumsqs, end_nom = end_stats
-    model.total += block_len
-    model.class_counts = end_class
-    model.num_sums = end_sums
-    model.num_sumsqs = end_sumsqs
-    model.nom_counts = end_nom
+        score = np.log(cc / totals)
+        safe = np.where(cc > 0, cc, 1.0)
+        for slot, j in enumerate(model._numeric):
+            x = X[:, j]
+            s_all = _seeded_rows(model.num_sums[:, slot], x * mask)
+            q_all = _seeded_rows(model.num_sumsqs[:, slot], (x * x) * mask)
+            end_sums[:, slot] = s_all[:, B]
+            end_sumsqs[:, slot] = q_all[:, B]
+            mean = s_all[:, :B] / safe
+            var = q_all[:, :B] / safe - mean * mean
+            var = np.maximum(var, VARIANCE_FLOOR)
+            d = x - mean
+            score += -0.5 * np.log(_TWO_PI * var) - d * d / (2.0 * var)
+        for slot, (j, card) in enumerate(model._nominal):
+            codes = X[:, j].astype(np.int64)
+            onehot = codes * m + y == np.arange(card * m)[:, None]
+            cnt_all = _seeded_rows(model.nom_counts[slot].T.ravel(), onehot)
+            end_nom.append(cnt_all[:, B].reshape(card, m).T.copy())
+            counts = np.take(cnt_all, codes * (m * (B + 1)) + own)
+            score += np.log((counts + 1.0) / (cc + card))
+        score = np.where(cc > 0, score, -np.inf)
+    bits = (np.argmax(score, axis=0) == y) & (totals > 0)
+    return bits, (cc_all[:, B].copy(), end_sums, end_sumsqs, end_nom)
 
 
 def _parse_policy(policy: str):
@@ -232,12 +226,14 @@ def prequential_run(stream: Stream, model: Optional[NaiveBayes] = None,
     bits_out = np.zeros(n, dtype=bool) if keep_bits else None
     correct = 0
     t = 0
+    widest = model.n_classes * max((card for _, card in model._nominal), default=1)
+    longest = min(_BLOCK, max(_FIRST_BLOCK, _ONEHOT_CELLS // widest))
+    size = longest
+    last_reset = 0
     while t < n:
+        block_end = min(n, t + size)
         if kind == "blind":
-            boundary = ((t // period) + 1) * period
-            block_end = min(n, t + _BLOCK, boundary)
-        else:
-            block_end = min(n, t + _BLOCK)
+            block_end = min(block_end, ((t // period) + 1) * period)
         bits, end_stats = _block_bits(model, X[t:block_end], y[t:block_end])
         if keep_bits:
             bits_out[t:block_end] = bits
@@ -256,8 +252,10 @@ def prequential_run(stream: Stream, model: Optional[NaiveBayes] = None,
                 offset += hit + 1
         if cut is None:
             correct += int(bits.sum())
-            _advance(model, bits.size, end_stats)
+            model.total += bits.size
+            model.class_counts, model.num_sums, model.num_sumsqs, model.nom_counts = end_stats
             t = block_end
+            size = min(2 * size, longest)
             if kind == "blind" and t < n and t % period == 0:
                 alarms.append(t)
                 model.reset()
@@ -268,5 +266,7 @@ def prequential_run(stream: Stream, model: Optional[NaiveBayes] = None,
             model.reset()
             model.train(X[position], y[position])
             t = position + 1
+            size = min(max(position - last_reset, _FIRST_BLOCK), longest)
+            last_reset = position
     accuracy = correct / n if n else 0.0
     return RunRecord(tuple(alarms), accuracy, n, bits_out)

@@ -42,6 +42,10 @@ NUMERIC = "numeric"
 NOMINAL = "nominal"
 
 DEFAULT_LENGTH = 100_000
+# Longest stream a StreamSpec accepts, 1000x the paper's streams.  Every
+# instance is a float64 row held in memory, so a longer stream is refused
+# as a usage error before anything is built rather than failing to allocate.
+MAX_LENGTH = 100_000_000
 DEFAULT_NOISE = 0.10
 
 # Circle concepts: ((center_x, center_y), radius), one per concept.
@@ -138,8 +142,9 @@ class StreamSpec:
         object.__setattr__(self, "family", self.family.lower())
         if self.family not in ("sine1", "mixed", "circles", "led"):
             raise UsageError(f"unknown stream family {self.family!r}")
-        if self.length < 1:
-            raise UsageError(f"stream length must be >= 1, got {self.length}")
+        if not 1 <= self.length <= MAX_LENGTH:
+            raise UsageError(
+                f"stream length must lie in [1, {MAX_LENGTH}], got {self.length}")
         if not 0.0 <= self.noise < 1.0:
             raise UsageError(f"noise rate must lie in [0, 1), got {self.noise}")
 

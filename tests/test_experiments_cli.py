@@ -2,6 +2,11 @@
 
 import copy
 import csv
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,6 +343,25 @@ class TestOutOfDomainValues:
     def test_window_and_accept_delay_below_one_rejected(self, flag, value):
         assert main(["--stream", "sine1", "--detector", "mddm_a", "--runs", "1",
                      "--set", "length=2000", flag, value]) == 2
+
+    def test_unaffordable_length_exits_2_at_once(self):
+        # The length is checked before the default schedule enumerates its
+        # drift positions; the address-space cap turns a regression into a
+        # quick MemoryError instead of a run that eats the machine.
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                 "from driftbench.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        started = time.monotonic()
+        done = subprocess.run([sys.executable, "-c", child, "--stream", "sine1",
+                               "--detector", "none", "--runs", "1", "--set", "length=1e13"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert "stream length" in done.stderr
+        assert time.monotonic() - started < 20
 
     @pytest.mark.parametrize("field", ["window_size", "accept_delay"])
     def test_config_rejects_zero(self, field):

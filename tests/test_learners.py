@@ -19,6 +19,7 @@ from driftbench import (
     generate_stream,
     prequential_run,
 )
+from driftbench import learners
 from driftbench.streams import NOMINAL, NUMERIC, ConceptSchedule, Stream, StreamSchema
 
 
@@ -203,12 +204,57 @@ class TestPrequentialRun:
                 assert fast.accuracy == slow_correct / len(stream)
                 assert np.array_equal(fast.bits, np.array(slow_bits, dtype=bool))
 
+    @pytest.mark.parametrize("family", ["led", "mixed"])
+    def test_matches_reference_loop_across_block_boundaries(self, family):
+        # 12k rows span several full blocks; MDDM at delta 0.1 resets often,
+        # so blocks restart small and regrow many times.
+        stream = generate_stream(StreamSpec(family, length=12_000, seed=6))
+        for make, policy in ((lambda: MDDM(Arithmetic(0.01), 25, 0.1), "reset"),
+                             (lambda: EDDM(), "reset"),
+                             (lambda: MDDM(Arithmetic(0.01), 25, 0.1), "none"),
+                             (lambda: None, "blind:1000")):
+            fast_model, slow_model = NaiveBayes(stream.schema), NaiveBayes(stream.schema)
+            fast = prequential_run(stream, fast_model, make(), policy=policy, keep_bits=True)
+            slow_alarms, slow_correct, slow_bits = self.reference_loop(
+                stream, make(), policy, slow_model)
+            assert fast.alarms == tuple(slow_alarms), policy
+            assert fast.accuracy == slow_correct / len(stream)
+            assert np.array_equal(fast.bits, np.array(slow_bits, dtype=bool))
+            assert fast_model.total == slow_model.total
+            for name in ("class_counts", "num_sums", "num_sumsqs"):
+                assert np.array_equal(getattr(fast_model, name), getattr(slow_model, name)), name
+            for fast_counts, slow_counts in zip(fast_model.nom_counts, slow_model.nom_counts,
+                                                strict=True):
+                assert np.array_equal(fast_counts, slow_counts)
+
+    def test_wide_nominal_one_hot_shortens_blocks(self, monkeypatch):
+        # 100 values x 5 classes: each block's one-hot stays within
+        # _ONEHOT_CELLS, and the shorter blocks still match the loop.
+        rng = np.random.default_rng(12)
+        card, m, n = 100, 5, 3_000
+        X = np.column_stack([rng.integers(0, card, n), rng.random(n)]).astype(np.float64)
+        stream = Stream("wide", X, rng.integers(0, m, n),
+                        make_schema([NOMINAL, NUMERIC], [card, 0], n_classes=m))
+        lengths = []
+        block_bits = learners._block_bits
+        monkeypatch.setattr(learners, "_block_bits",
+                            lambda model, X, y: lengths.append(len(y)) or block_bits(model, X, y))
+        fast = prequential_run(stream, None, None, keep_bits=True)
+        _, slow_correct, slow_bits = self.reference_loop(stream, None)
+        assert fast.accuracy == slow_correct / n
+        assert np.array_equal(fast.bits, np.array(slow_bits, dtype=bool))
+        assert len(lengths) > 1 and max(lengths) * card * m <= learners._ONEHOT_CELLS
+
     @staticmethod
-    def reference_loop(stream, detector):
-        model = NaiveBayes(stream.schema)
+    def reference_loop(stream, detector, policy="reset", model=None):
+        model = NaiveBayes(stream.schema) if model is None else model
+        period = int(policy.split(":")[1]) if policy.startswith("blind:") else 0
         alarms = []
         bits = []
         for t in range(len(stream)):
+            if period and t and t % period == 0:
+                alarms.append(t)
+                model.reset()
             x, label = stream.X[t], int(stream.y[t])
             try:
                 bit = 1 if model.predict(x) == label else 0
@@ -217,6 +263,7 @@ class TestPrequentialRun:
             bits.append(bit)
             if detector is not None and detector.step(bit) is Verdict.DRIFT:
                 alarms.append(t)
-                model.reset()
+                if policy == "reset":
+                    model.reset()
             model.train(x, label)
         return alarms, sum(bits), bits

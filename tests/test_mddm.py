@@ -275,6 +275,15 @@ class TestEquivalences:
             stepped = [i for i, b in enumerate(bits) if det.step(b) is Verdict.DRIFT]
             assert batch == stepped
 
+    def test_scan_accepts_any_iterable(self):
+        # DriftDetector.scan takes any iterable of bits, generators included.
+        bits = random_bits(7, 3_000).tolist()
+        for method in ("scan", "drift_points"):
+            listed = getattr(MDDM(Arithmetic(0.01), 25, 1e-3), method)(bits)
+            generated = getattr(MDDM(Arithmetic(0.01), 25, 1e-3), method)(b for b in bits)
+            assert listed not in (None, []) and generated == listed, method
+        assert MDDM().scan(iter([1] * 100)) is None
+
     def test_drift_points_from_dirty_state(self):
         # The one-pass batch path must agree with step() regardless of the
         # detector's entry state and leave identical state behind.
