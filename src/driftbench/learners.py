@@ -13,9 +13,13 @@ where the model is not reset, the predictions of every class are
 vectorised over ``(classes, block)`` arrays by seeding row-wise NumPy
 cumulative sums with the model's current statistics, which reproduces
 the per-instance arithmetic bit for bit (cumsum accumulates left to
-right exactly like repeated ``+=``).  Nominal counts take one cumsum per
-attribute over a one-hot of (value, class) pairs; blocks are shorter
-than ``_BLOCK`` only where that one-hot would exceed ``_ONEHOT_CELLS``.
+right exactly like repeated ``+=``).  The nominal counts of a block come
+from one table with a row per (attribute, value) pair and, grouped by
+class, a seed column per class and a column per block instance: one
+cumsum serves every attribute and class, and the Laplace terms take one
+log per table cell rather than one per (instance, class, attribute).
+Blocks are shorter than ``_BLOCK`` only where that table would exceed
+``_TABLE_CELLS``.
 On a Drift verdict the adaptation policy decides whether the model
 restarts.  A reset throws away the rest of its block, so the next block
 is no longer than the stretch between the last two resets (at least
@@ -39,7 +43,10 @@ VARIANCE_FLOOR = 1e-6
 _TWO_PI = 2.0 * math.pi
 _BLOCK = 4096
 _FIRST_BLOCK = 64  # shortest block after a detector-driven reset
-_ONEHOT_CELLS = 1 << 17  # a wider nominal one-hot shortens the blocks below _BLOCK
+# Cap on the cells (8 bytes each) of a block's nominal count table, Σcard
+# rows by block + classes columns: a wider schema gets shorter blocks (no
+# shorter than _FIRST_BLOCK), which keeps the table within 1 MB.
+_TABLE_CELLS = 1 << 17
 
 
 class NotTrainedError(RuntimeError):
@@ -55,6 +62,9 @@ class NaiveBayes:
         self._numeric = [j for j, k in enumerate(schema.kinds) if k == NUMERIC]
         self._nominal = [(j, schema.cardinalities[j])
                          for j, k in enumerate(schema.kinds) if k == NOMINAL]
+        # First row of each nominal attribute in a block's count table.
+        cards = np.array([card for _, card in self._nominal], dtype=np.int64)
+        self._cards, self._offsets = cards, np.cumsum(cards) - cards
         self.reset()
 
     def reset(self) -> None:
@@ -140,9 +150,7 @@ def _block_bits(model: NaiveBayes, X: np.ndarray, y: np.ndarray):
     """Prediction-correctness bits for a block, plus end-of-block stats.
 
     Reproduces, per instance, exactly what predict-then-train would
-    compute.  A nominal slot's one-hot has one row per (value, class),
-    keyed ``value * classes + class``; its counts are integers held in
-    float64, so the summation order cannot change them.
+    compute (see ``_nominal_scores`` for the nominal attributes).
     """
     B = y.shape[0]
     m = model.n_classes
@@ -154,9 +162,6 @@ def _block_bits(model: NaiveBayes, X: np.ndarray, y: np.ndarray):
     end_sums = np.empty_like(model.num_sums)
     end_sumsqs = np.empty_like(model.num_sumsqs)
     end_nom = []
-    # Flat offset of (class c, column i) in a slot's count rows; adding
-    # value * m * (B + 1) selects the row of the instance's own value.
-    own = classes * (B + 1) + np.arange(B)
     with np.errstate(divide="ignore", invalid="ignore"):
         score = np.log(cc / totals)
         safe = np.where(cc > 0, cc, 1.0)
@@ -171,16 +176,60 @@ def _block_bits(model: NaiveBayes, X: np.ndarray, y: np.ndarray):
             var = np.maximum(var, VARIANCE_FLOOR)
             d = x - mean
             score += -0.5 * np.log(_TWO_PI * var) - d * d / (2.0 * var)
-        for slot, (j, card) in enumerate(model._nominal):
-            codes = X[:, j].astype(np.int64)
-            onehot = codes * m + y == np.arange(card * m)[:, None]
-            cnt_all = _seeded_rows(model.nom_counts[slot].T.ravel(), onehot)
-            end_nom.append(cnt_all[:, B].reshape(card, m).T.copy())
-            counts = np.take(cnt_all, codes * (m * (B + 1)) + own)
-            score += np.log((counts + 1.0) / (cc + card))
+        if model._nominal:
+            end_nom = _nominal_scores(model, X, y, cc_all, score)
         score = np.where(cc > 0, score, -np.inf)
     bits = (np.argmax(score, axis=0) == y) & (totals > 0)
     return bits, (cc_all[:, B].copy(), end_sums, end_sumsqs, end_nom)
+
+
+def _nominal_scores(model: NaiveBayes, X: np.ndarray, y: np.ndarray,
+                    cc_all: np.ndarray, score: np.ndarray):
+    """Add every nominal slot's Laplace term to ``score`` in place, in
+    slot order, and return the end-of-block nominal counts.
+
+    All nominal counts of the block live in one table with a row per
+    (attribute, value) pair and its columns grouped by class: class c's
+    segment is a seed column at ``start[c]`` and then one column per
+    class-c instance of the block, in block order.  Seeds are differenced
+    against the previous segment's end, so one cumsum along the columns
+    leaves class c's counts after its first r block instances in column
+    ``start[c] + r``.  The counts are integers held in float64, so the
+    summation order cannot change them, and the Laplace term is computed
+    once per table cell from the same floats the per-instance path uses.
+    """
+    B = y.shape[0]
+    m = model.n_classes
+    cards = model._cards
+    codes = np.array([X[:, j] for j, _ in model._nominal], dtype=np.int64)
+    if codes.min() < 0 or (codes.max(axis=1) >= cards).any():
+        i, slot = np.argwhere(((codes < 0) | (codes >= cards[:, None])).T)[0]
+        j = model._nominal[slot][0]
+        value = codes[slot, i] if np.isfinite(X[i, j]) else X[i, j]
+        raise ValueError(f"attribute {j} value {value} outside its cardinality {cards[slot]}")
+    lengths = (cc_all[:, B] - model.class_counts).astype(np.int64) + 1
+    start = np.cumsum(lengths) - lengths
+    shift = model.class_counts - start
+    # Column of class c's counts before instance i.
+    where = (cc_all[:, :B] - shift[:, None]).astype(np.int64)
+    R = B + m
+    value_rows = (codes + model._offsets[:, None]) * R
+    table = np.zeros((int(cards.sum()), R))
+    table.ravel()[value_rows + where.ravel()[y * B + np.arange(B)] + 1] = 1.0
+    seeds = np.concatenate(model.nom_counts, axis=1)
+    ends = seeds + np.add.reduceat(table, start, axis=1).T
+    seeds[1:] -= ends[:-1]
+    table[:, start] = seeds.T
+    np.cumsum(table, axis=1, out=table)
+    # Each column's class count: the float cc holds for its instances.
+    col_counts = np.repeat(shift, lengths) + np.arange(float(R))
+    table += 1.0
+    for a, card in zip(model._offsets, cards):
+        table[a:a + card] /= col_counts + card
+    logs = np.log(table, out=table).ravel()
+    for slot_rows in value_rows:
+        score += np.take(logs, where + slot_rows)
+    return [ends[:, a:a + card] for a, card in zip(model._offsets, cards)]
 
 
 def _parse_policy(policy: str):
@@ -226,8 +275,8 @@ def prequential_run(stream: Stream, model: Optional[NaiveBayes] = None,
     bits_out = np.zeros(n, dtype=bool) if keep_bits else None
     correct = 0
     t = 0
-    widest = model.n_classes * max((card for _, card in model._nominal), default=1)
-    longest = min(_BLOCK, max(_FIRST_BLOCK, _ONEHOT_CELLS // widest))
+    width = max(int(model._cards.sum()), 1)
+    longest = min(_BLOCK, max(_FIRST_BLOCK, _TABLE_CELLS // width - model.n_classes))
     size = longest
     last_reset = 0
     while t < n:

@@ -480,8 +480,6 @@ def load_csv_stream(path, schema: Optional[Sequence[str]] = None) -> Stream:
             cards.append(0)
         elif reader.nominal_codes and reader.nominal_codes[j]:
             cards.append(len(reader.nominal_codes[j]))
-        elif len(rows):
-            cards.append(int(X[:, j].max()) + 1)
         else:
             cards.append(1)
     return Stream(name=reader.path.stem, X=X, y=y,

@@ -204,11 +204,17 @@ class TestPrequentialRun:
                 assert fast.accuracy == slow_correct / len(stream)
                 assert np.array_equal(fast.bits, np.array(slow_bits, dtype=bool))
 
-    @pytest.mark.parametrize("family", ["led", "mixed"])
+    @pytest.mark.parametrize("family", ["led", "mixed", "uneven"])
     def test_matches_reference_loop_across_block_boundaries(self, family):
         # 12k rows span several full blocks; MDDM at delta 0.1 resets often,
-        # so blocks restart small and regrow many times.
-        stream = generate_stream(StreamSpec(family, length=12_000, seed=6))
+        # so blocks restart small and regrow many times.  "uneven" mixes
+        # nominal cardinalities over six classes, one so rare that many
+        # blocks hold none of its instances.
+        if family == "uneven":
+            stream = self.uneven_stream(12_000, seed=6)
+            assert 0 < np.count_nonzero(stream.y == 5) < 60
+        else:
+            stream = generate_stream(StreamSpec(family, length=12_000, seed=6))
         for make, policy in ((lambda: MDDM(Arithmetic(0.01), 25, 0.1), "reset"),
                              (lambda: EDDM(), "reset"),
                              (lambda: MDDM(Arithmetic(0.01), 25, 0.1), "none"),
@@ -228,8 +234,9 @@ class TestPrequentialRun:
                 assert np.array_equal(fast_counts, slow_counts)
 
     def test_wide_nominal_one_hot_shortens_blocks(self, monkeypatch):
-        # 100 values x 5 classes: each block's one-hot stays within
-        # _ONEHOT_CELLS, and the shorter blocks still match the loop.
+        # 100 values x 5 classes: each block's count table (a row per value,
+        # a column per instance and per class) stays within _TABLE_CELLS,
+        # and the shorter blocks still match the loop.
         rng = np.random.default_rng(12)
         card, m, n = 100, 5, 3_000
         X = np.column_stack([rng.integers(0, card, n), rng.random(n)]).astype(np.float64)
@@ -243,7 +250,39 @@ class TestPrequentialRun:
         _, slow_correct, slow_bits = self.reference_loop(stream, None)
         assert fast.accuracy == slow_correct / n
         assert np.array_equal(fast.bits, np.array(slow_bits, dtype=bool))
-        assert len(lengths) > 1 and max(lengths) * card * m <= learners._ONEHOT_CELLS
+        assert len(lengths) > 1 and (max(lengths) + m) * card <= learners._TABLE_CELLS
+
+    @pytest.mark.parametrize("bad", [-1, 3, math.nan])
+    def test_out_of_range_nominal_code_rejected(self, bad):
+        # The block engine rejects what NaiveBayes.train rejects, with the
+        # same message, rather than reading another attribute's counts.
+        rng = np.random.default_rng(1)
+        X = np.column_stack([rng.random(200), rng.integers(0, 3, 200)]).astype(np.float64)
+        X[150, 1] = bad
+        stream = Stream("bad", X, rng.integers(0, 2, 200),
+                        make_schema([NUMERIC, NOMINAL], [0, 3]))
+        message = f"attribute 1 value {bad:g} outside its cardinality 3"
+        with pytest.raises(ValueError, match=message), np.errstate(invalid="ignore"):
+            prequential_run(stream, None, None)
+        with pytest.raises(ValueError, match=message if math.isfinite(bad) else "NaN"):
+            NaiveBayes(stream.schema).train(X[150], 0)
+
+    @staticmethod
+    def uneven_stream(n, seed):
+        # Four nominal attributes of cardinality 3, 7, 2 and 5 and one
+        # numeric one over six classes; class 5 is rare, and the mapping
+        # from class to values changes halfway.  Half the values are noise.
+        rng = np.random.default_rng(seed)
+        cards = (3, 7, 2, 5)
+        y = rng.choice(6, size=n, p=[0.3, 0.25, 0.2, 0.15, 0.097, 0.003])
+        phase = (np.arange(n) >= n // 2).astype(np.int64)
+        columns = [np.where(rng.random(n) < 0.5, rng.integers(0, card, n),
+                            y * (k + 1 + phase) % card)
+                   for k, card in enumerate(cards)]
+        columns.insert(2, y + rng.normal(0.0, 3.0, n))
+        schema = make_schema([NOMINAL, NOMINAL, NUMERIC, NOMINAL, NOMINAL],
+                             [3, 7, 0, 2, 5], n_classes=6)
+        return Stream("uneven", np.column_stack(columns).astype(np.float64), y, schema)
 
     @staticmethod
     def reference_loop(stream, detector, policy="reset", model=None):
