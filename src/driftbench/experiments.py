@@ -4,25 +4,32 @@ A cell runs R independent prequential runs (run i uses seed base + i),
 scores synthetic runs against the stream's drift schedule, and
 aggregates into a mean +/- std row.  CSV streams have no ground-truth
 drift positions, so their rows carry only alarms and accuracy.  Cells
-of a matrix run independently: one failing cell does not stop the
-others.  Execution order and output row order are fixed (cells in the
-given order, runs by index), so identical configurations produce
-byte-identical CSV output.
+of a matrix fail independently: one failing cell does not stop the
+others.
+
+Execution is stream-major: for each stream, every cell's detector is
+built first, then each run seed's stream is generated once (a CSV stream
+is loaded once) and run through every cell of that stream before the
+next seed's stream is made.  Output order stays cell-major (cells in the
+given order, runs by index), and every run sees the same stream, a fresh
+learner and a reset detector, exactly as a cell run alone would, so
+identical configurations produce byte-identical CSV output.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .detectors import ADWIN, CUSUM, DDM, EDDM, MDDM, RDDM, Arithmetic, Euler, Geometric, PageHinkley, fhddm
 from .detectors.mddm import DEFAULT_DELTA
 from .errors import DataFormatError, UsageError
 from .evaluation import AggregateRow, DriftScore, aggregate, score_run, unscored_row
 from .learners import NaiveBayes, prequential_run
-from .streams import (DEFAULT_LENGTH, DEFAULT_NOISE, Stream, StreamSpec, default_schedule,
+from .streams import (DEFAULT_LENGTH, DEFAULT_NOISE, StreamSpec, default_schedule,
                       generate_stream, load_csv_stream)
 
 SYNTHETIC_FAMILIES = ("sine1", "mixed", "circles", "led")
@@ -173,59 +180,19 @@ def _build_detector(config: ExperimentConfig, window: int):
         raise UsageError(str(exc)) from exc
 
 
-def run_experiment(config: ExperimentConfig,
-                   stream_cache: Optional[dict] = None) -> ExperimentResult:
-    """Execute one cell: R runs, scoring, aggregation, optional CSV output."""
-    family = _stream_family(config)
-    window = WINDOW_DEFAULTS[family] if config.window_size is None else config.window_size
-    # Built once, so a bad parameter fails the cell before its first run.
-    detector = _build_detector(config, window)
-    csv_stream: Optional[Stream] = None
-    if config.is_csv:
-        cache_key = config.stream
-        if stream_cache is not None and cache_key in stream_cache:
-            csv_stream = stream_cache[cache_key]
-        else:
-            csv_stream = load_csv_stream(config.stream)
-            if stream_cache is not None:
-                stream_cache[cache_key] = csv_stream
-        accept_delay = None
-    else:
-        accept_delay = (ACCEPT_DELAY_DEFAULTS[family] if config.accept_delay is None
-                        else config.accept_delay)
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Execute one cell: R runs, scoring, aggregation, optional CSV output.
 
-    results: list[RunResult] = []
-    for run_index in range(config.runs):
-        seed = config.seed + run_index
-        if csv_stream is not None:
-            stream = csv_stream
-        else:
-            stream = generate_stream(_build_stream_spec(config, seed))
-        if detector is not None:
-            detector.reset()
-        record = prequential_run(stream, NaiveBayes(stream.schema), detector,
-                                 policy=config.policy)
-        if csv_stream is None:
-            score = score_run(record.alarms, stream.drift_positions,
-                              accept_delay, len(stream), record.accuracy)
-        else:
-            score = None
-        results.append(RunResult(config.stream, config.detector, seed,
-                                 run_index, record.alarms, record.accuracy,
-                                 score))
-
-    alarm_counts = [len(r.alarms) for r in results]
-    if csv_stream is None:
-        agg = aggregate([r.score for r in results], stream=config.stream,
-                        detector=config.detector, alarm_counts=alarm_counts)
-    else:
-        agg = unscored_row(config.stream, config.detector,
-                           [r.accuracy for r in results], alarm_counts)
-    result = ExperimentResult(config, agg, results)
+    This is the one-cell case of :func:`run_matrix`'s loop; the cell's
+    error, if any, is raised.
+    """
+    cell, = _run_stream(config.stream, [config.detector], lambda detector: config)
+    if cell.error is not None:
+        raise cell.error
     if config.out:
-        write_run_csv(config.out, results)
-        write_aggregate_csv(_aggregate_path(config.out), [agg])
-    return result
+        write_run_csv(config.out, cell.result.runs)
+        write_aggregate_csv(_aggregate_path(config.out), [cell.result.aggregate])
+    return cell.result
 
 
 @dataclass(frozen=True)
@@ -253,24 +220,81 @@ class MatrixReport:
         return [c for c in self.cells if c.error is not None]
 
 
+# Errors that fail a cell without stopping the matrix.
+CELL_ERRORS = (UsageError, DataFormatError, OSError)
+
+
+def _run_stream(stream: str, detectors: list[str],
+                config_of: Callable[..., ExperimentConfig]) -> list[CellResult]:
+    """Run one stream's cells, ``config_of(detector=name)`` each, stream-major.
+
+    The cells differ only in their detector.  Every cell's configuration
+    and detector are built first, so a bad parameter fails its own cell
+    before any run.  Then each run seed's stream is generated once (a CSV
+    stream is loaded once) and run through every live cell in order, so
+    only one stream is held at a time.
+    """
+    cells: list = []  # per detector: (config, detector, runs), or its error
+    for name in detectors:
+        try:
+            config = config_of(detector=name)
+            window = (WINDOW_DEFAULTS[_stream_family(config)] if config.window_size is None
+                      else config.window_size)
+            cells.append((config, _build_detector(config, window), []))
+        except CELL_ERRORS as exc:
+            cells.append(exc)
+    live = [cell for cell in cells if not isinstance(cell, Exception)]
+    if live:
+        first = live[0][0]
+        family = _stream_family(first)
+        accept_delay = (ACCEPT_DELAY_DEFAULTS.get(family) if first.accept_delay is None
+                        else first.accept_delay)
+        try:
+            csv_stream = load_csv_stream(first.stream) if first.is_csv else None
+            for run_index in range(first.runs):
+                seed = first.seed + run_index
+                data = (csv_stream if csv_stream is not None
+                        else generate_stream(_build_stream_spec(first, seed)))
+                for config, detector, runs in live:
+                    if detector is not None:
+                        detector.reset()
+                    record = prequential_run(data, NaiveBayes(data.schema), detector,
+                                             policy=config.policy)
+                    score = None if csv_stream is not None else score_run(
+                        record.alarms, data.drift_positions, accept_delay, len(data),
+                        record.accuracy)
+                    runs.append(RunResult(config.stream, config.detector, seed, run_index,
+                                          record.alarms, record.accuracy, score))
+        except CELL_ERRORS as exc:
+            # Loading, generating and the policy are common to the cells.
+            cells = [cell if isinstance(cell, Exception) else exc for cell in cells]
+    return [CellResult(stream, name, None, cell) if isinstance(cell, Exception)
+            else CellResult(stream, name, _cell_result(cell[0], cell[2]), None)
+            for name, cell in zip(detectors, cells)]
+
+
+def _cell_result(config: ExperimentConfig, runs: list[RunResult]) -> ExperimentResult:
+    alarm_counts = [len(r.alarms) for r in runs]
+    if config.is_csv:
+        agg = unscored_row(config.stream, config.detector,
+                           [r.accuracy for r in runs], alarm_counts)
+    else:
+        agg = aggregate([r.score for r in runs], stream=config.stream,
+                        detector=config.detector, alarm_counts=alarm_counts)
+    return ExperimentResult(config, agg, runs)
+
+
 def run_matrix(streams: list[str], detectors: list[str],
                base: ExperimentConfig, out: Optional[str] = None) -> MatrixReport:
     """Run every (stream, detector) cell; cell failures are isolated."""
     cells = []
-    stream_cache: dict = {}
-    all_runs: list[RunResult] = []
     for stream in streams:
-        for detector in detectors:
-            try:
-                config = replace(base, stream=stream, detector=detector, out=None)
-                result = run_experiment(config, stream_cache)
-                all_runs.extend(result.runs)
-                cells.append(CellResult(stream, detector, result, None))
-            except (UsageError, DataFormatError, OSError) as exc:
-                cells.append(CellResult(stream, detector, None, exc))
+        cells += _run_stream(stream, detectors,
+                             partial(replace, base, stream=stream, out=None))
     report = MatrixReport(cells)
     if out:
-        write_run_csv(out, all_runs)
+        write_run_csv(out, [run for c in cells if c.result is not None
+                            for run in c.result.runs])
         write_aggregate_csv(_aggregate_path(out), report.aggregates)
     return report
 

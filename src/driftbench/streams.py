@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DataFormatError, UsageError
 
@@ -85,6 +84,9 @@ LED_DEFAULT_LAYOUT = (
 )
 
 _INT_LABEL = re.compile(r"^\d+$")
+# A CSV header field "name:nominal:<cardinality>" marks a nominal column
+# whose values are the integer codes 0..cardinality-1.
+_NOMINAL_MARK = re.compile(r"^(.*):nominal:([1-9]\d*)$")
 
 
 @dataclass(frozen=True)
@@ -211,6 +213,12 @@ class Stream:
             yield LabeledInstance(t, attrs, int(self.y[t]), concept)
 
 
+def _logistic(x):
+    """1 / (1 + e^-x); where e^-x overflows to inf the result is 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def drift_probability(t, t0, zeta: int):
     """Probability that instance ``t`` is drawn from the post-drift concept.
 
@@ -221,7 +229,7 @@ def drift_probability(t, t0, zeta: int):
     if zeta < 1:
         raise UsageError(f"transition length must be >= 1, got {zeta}")
     t = np.asarray(t, dtype=np.float64)
-    out = expit(4.0 * (t - t0) / zeta)
+    out = _logistic(4.0 * (t - t0) / zeta)
     return float(out) if out.ndim == 0 else out
 
 
@@ -270,7 +278,7 @@ def _concept_draws(n: int, schedule: ConceptSchedule, rng: np.random.Generator) 
     t = np.arange(n, dtype=np.float64)
     concept = np.zeros(n, dtype=np.int64)
     for pos in schedule.positions:
-        p = expit(4.0 * (t - (pos + 0.5 * schedule.transition)) / schedule.transition)
+        p = _logistic(4.0 * (t - (pos + 0.5 * schedule.transition)) / schedule.transition)
         concept += rng.random(n) < p
     return concept
 
@@ -365,6 +373,14 @@ class CsvStreamReader:
     otherwise labels are class names, interned in first-seen order.  A
     label column mixing the two is a :class:`DataFormatError`.
 
+    A header field ``name:nominal:<k>`` (as :func:`dump_stream` writes
+    for nominal attributes and the label) marks a column of integer codes
+    ``0..k-1``: an attribute so marked is nominal with cardinality ``k``
+    and the label column has ``k`` classes, even when some codes never
+    occur in the file.  Marked values are taken verbatim; anything else
+    in a marked column is a :class:`DataFormatError`, and so is a
+    declared schema calling a marked attribute numeric.
+
     Rows are yielded one at a time, so arbitrarily large files can be
     consumed without materialising them; the inferred ``kinds``,
     ``names``, code tables and ``n_classes`` are available once
@@ -377,12 +393,14 @@ class CsvStreamReader:
         self.names: tuple[str, ...] = ()
         self.kinds: Optional[list[str]] = None
         self.nominal_codes: list[dict[str, int]] = []
+        self.marked: list[int] = []      # marked cardinality per attribute, 0 if none
+        self.label_mark = 0
         self.label_codes: dict[str, int] = {}
         self.max_label = -1
 
     @property
     def n_classes(self) -> int:
-        return max(self.max_label + 1, len(self.label_codes))
+        return max(self.max_label + 1, len(self.label_codes), self.label_mark)
 
     def __iter__(self) -> Iterator[LabeledInstance]:
         with open(self.path, newline="", encoding="utf-8") as handle:
@@ -395,6 +413,9 @@ class CsvStreamReader:
                     f"{self.path}: need at least one attribute column and a "
                     "label column")
             n_attrs = len(header) - 1
+            marks = [_NOMINAL_MARK.match(name) for name in header]
+            header = [m.group(1) if m else name for m, name in zip(marks, header)]
+            *self.marked, self.label_mark = [int(m.group(2)) if m else 0 for m in marks]
             self.names = tuple(header[:-1])
             self.nominal_codes = [dict() for _ in range(n_attrs)]
             if self.declared is not None:
@@ -402,6 +423,12 @@ class CsvStreamReader:
                     raise DataFormatError(
                         f"{self.path}: schema lists {len(self.declared)} kinds "
                         f"for {n_attrs} attribute columns")
+                clash = [name for name, kind, card in zip(self.names, self.declared, self.marked)
+                         if card and kind != NOMINAL]
+                if clash:
+                    raise DataFormatError(
+                        f"{self.path}: schema declares the nominal-marked "
+                        f"column(s) {clash} numeric")
                 self.kinds = list(self.declared)
             position = 0
             for line, row in enumerate(reader, start=2):
@@ -412,10 +439,13 @@ class CsvStreamReader:
                         f"{self.path}: line {line}: expected {len(header)} "
                         f"fields, got {len(row)}")
                 if self.kinds is None:
-                    self.kinds = [_inferred_kind(value) for value in row[:-1]]
+                    self.kinds = [NOMINAL if card else _inferred_kind(value)
+                                  for card, value in zip(self.marked, row[:-1])]
                 attrs = []
                 for j, value in enumerate(row[:-1]):
-                    if self.kinds[j] == NUMERIC:
+                    if self.marked[j]:
+                        attrs.append(self._marked_code(value, self.marked[j], line, header[j]))
+                    elif self.kinds[j] == NUMERIC:
                         try:
                             attrs.append(float(value))
                         except ValueError as exc:
@@ -426,22 +456,32 @@ class CsvStreamReader:
                         codes = self.nominal_codes[j]
                         attrs.append(codes.setdefault(value, len(codes)))
                 raw_label = row[-1]
-                # Names are interned from 0, so an integer code in the same
-                # column could share a name's code.
-                is_code = bool(_INT_LABEL.match(raw_label))
-                seen_names = bool(self.label_codes)
-                seen_codes = self.max_label >= 0 and not seen_names
-                if (is_code and seen_names) or (not is_code and seen_codes):
-                    raise DataFormatError(
-                        f"{self.path}: line {line}: label {raw_label!r} mixes "
-                        "integer class codes with class names")
-                if is_code:
-                    label = int(raw_label)
+                if self.label_mark:
+                    label = self._marked_code(raw_label, self.label_mark, line, header[-1])
                 else:
-                    label = self.label_codes.setdefault(raw_label, len(self.label_codes))
+                    # Names are interned from 0, so an integer code in the same
+                    # column could share a name's code.
+                    is_code = bool(_INT_LABEL.match(raw_label))
+                    seen_names = bool(self.label_codes)
+                    seen_codes = self.max_label >= 0 and not seen_names
+                    if (is_code and seen_names) or (not is_code and seen_codes):
+                        raise DataFormatError(
+                            f"{self.path}: line {line}: label {raw_label!r} mixes "
+                            "integer class codes with class names")
+                    if is_code:
+                        label = int(raw_label)
+                    else:
+                        label = self.label_codes.setdefault(raw_label, len(self.label_codes))
                 self.max_label = max(self.max_label, label)
                 yield LabeledInstance(position, tuple(attrs), label)
                 position += 1
+
+    def _marked_code(self, value: str, card: int, line: int, column: str) -> int:
+        if _INT_LABEL.match(value) and int(value) < card:
+            return int(value)
+        raise DataFormatError(
+            f"{self.path}: line {line}: column {column!r}: {value!r} is not a "
+            f"code below its marked cardinality {card}")
 
 
 def _inferred_kind(value: str) -> str:
@@ -467,7 +507,7 @@ def load_csv_stream(path, schema: Optional[Sequence[str]] = None) -> Stream:
         labels.append(inst.label)
     kinds = tuple(reader.kinds) if reader.kinds is not None else ()
     if not kinds:
-        kinds = tuple(NUMERIC for _ in reader.names)
+        kinds = tuple(NOMINAL if card else NUMERIC for card in reader.marked)
     if rows:
         X = np.array(rows, dtype=np.float64)
         y = np.array(labels, dtype=np.int64)
@@ -478,6 +518,8 @@ def load_csv_stream(path, schema: Optional[Sequence[str]] = None) -> Stream:
     for j, kind in enumerate(kinds):
         if kind != NOMINAL:
             cards.append(0)
+        elif reader.marked[j]:
+            cards.append(reader.marked[j])
         elif reader.nominal_codes and reader.nominal_codes[j]:
             cards.append(len(reader.nominal_codes[j]))
         else:
@@ -492,13 +534,19 @@ def dump_stream(spec, path) -> None:
 
     Numeric attributes use shortest round-trip formatting so a reload
     reproduces them exactly; nominal attributes and labels are written
-    as integer codes.  Identical specs produce byte-identical files.
+    as integer codes under a ``name:nominal:<cardinality>`` header, so a
+    reload keeps them nominal with the full cardinality and class count
+    (Laplace smoothing divides by both, even where a short file misses a
+    value).  Identical specs produce byte-identical files.
     """
     stream = generate_stream(spec) if isinstance(spec, StreamSpec) else spec
-    kinds = stream.schema.kinds
+    schema = stream.schema
+    kinds = schema.kinds
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([*stream.schema.names, "label"])
+        writer.writerow([name if kind == NUMERIC else f"{name}:nominal:{card}"
+                         for name, kind, card in zip(schema.names, kinds, schema.cardinalities)]
+                        + [f"label:nominal:{schema.n_classes}"])
         for t in range(len(stream)):
             row = stream.X[t]
             fields = [repr(float(row[j])) if kinds[j] == NUMERIC else str(int(row[j]))

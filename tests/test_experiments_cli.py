@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,12 @@ import pytest
 from driftbench import (ADWIN, CUSUM, DDM, EDDM, MDDM, RDDM, Arithmetic, ConceptSchedule,
                         Euler, ExperimentConfig, Geometric, PageHinkley, StreamSpec, UsageError,
                         dump_stream, fhddm, run_experiment, run_matrix)
-from driftbench import experiments
+from driftbench import (NaiveBayes, aggregate, experiments, generate_stream, prequential_run,
+                        score_run)
 from driftbench.cli import main
-from driftbench.experiments import AGG_CSV_FIELDS, DETECTORS, RUN_CSV_FIELDS
+from driftbench.experiments import (ACCEPT_DELAY_DEFAULTS, AGG_CSV_FIELDS, DETECTORS,
+                                    RUN_CSV_FIELDS, WINDOW_DEFAULTS, RunResult,
+                                    write_aggregate_csv, write_run_csv)
 
 FAST = {"length": 2_000}
 
@@ -127,6 +131,103 @@ class TestRunMatrix:
         assert len(rows) == 1 + 4  # header + 2 cells x 2 runs
         agg = read_csv(tmp_path / "matrix_aggregate.csv")
         assert len(agg) == 3
+
+
+def cell_by_cell(streams, detectors, base, out):
+    """The matrix loop before it went stream-major, kept as a reference:
+    one cell at a time, each generating its own streams."""
+    runs, aggregates = [], []
+    for stream in streams:
+        for name in detectors:
+            try:
+                config = replace(base, stream=stream, detector=name)
+                detector = experiments._build_detector(config, WINDOW_DEFAULTS[stream])
+            except UsageError:
+                continue
+            cell = []
+            for i in range(config.runs):
+                seed = config.seed + i
+                data = generate_stream(experiments._build_stream_spec(config, seed))
+                if detector is not None:
+                    detector.reset()
+                record = prequential_run(data, NaiveBayes(data.schema), detector,
+                                         policy=config.policy)
+                score = score_run(record.alarms, data.drift_positions,
+                                  ACCEPT_DELAY_DEFAULTS[stream], len(data), record.accuracy)
+                cell.append(RunResult(stream, name, seed, i, record.alarms,
+                                      record.accuracy, score))
+            runs += cell
+            aggregates.append(aggregate([r.score for r in cell], stream=stream, detector=name,
+                                        alarm_counts=[len(r.alarms) for r in cell]))
+    write_run_csv(out, runs)
+    write_aggregate_csv(experiments._aggregate_path(out), aggregates)
+
+
+class TestStreamMajor:
+    BASE = ExperimentConfig(stream="sine1", runs=3, seed=40,
+                            params=dict(FAST, drift_every=700))
+
+    def spy(self, monkeypatch, name):
+        calls = []
+        real = getattr(experiments, name)
+
+        def spy(arg):
+            calls.append(arg)
+            return real(arg)
+
+        monkeypatch.setattr(experiments, name, spy)
+        return calls
+
+    def test_each_stream_and_seed_is_generated_once(self, monkeypatch):
+        calls = self.spy(monkeypatch, "generate_stream")
+        report = run_matrix(["sine1", "circles"], ["mddm_a", "none", "adwin"], self.BASE)
+        assert not report.errors
+        assert [(spec.family, spec.seed) for spec in calls] == [
+            (family, seed) for family in ("sine1", "circles") for seed in (40, 41, 42)]
+
+    def test_csv_bytes_equal_the_cell_by_cell_loop(self, tmp_path):
+        detectors = ["mddm_a", "bogus", "none", "adwin", "cusum"]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        report = run_matrix(["sine1", "circles"], detectors, self.BASE, out=str(got))
+        cell_by_cell(["sine1", "circles"], detectors, self.BASE, want)
+        assert [(c.stream, c.detector) for c in report.errors] == [
+            ("sine1", "bogus"), ("circles", "bogus")]
+        assert got.read_bytes() == want.read_bytes()
+        assert ((tmp_path / "got_aggregate.csv").read_bytes()
+                == (tmp_path / "want_aggregate.csv").read_bytes())
+
+    def test_csv_stream_is_loaded_once(self, monkeypatch, tmp_path):
+        path = tmp_path / "data.csv"
+        dump_stream(StreamSpec("mixed", length=1_500, seed=3), path)
+        calls = self.spy(monkeypatch, "load_csv_stream")
+        report = run_matrix([str(path)], ["none", "mddm_a"], replace(self.BASE, runs=2))
+        assert calls == [str(path)]
+        assert [row.detector for row in report.aggregates] == ["none", "mddm_a"]
+
+    def test_blind_policy_fails_only_detector_cells(self):
+        base = replace(self.BASE, policy="blind:500")
+        report = run_matrix(["sine1"], ["mddm_a", "none", "cusum"], base)
+        assert [c.detector for c in report.errors] == ["mddm_a", "cusum"]
+        none, = [c.result for c in report.cells if c.result is not None]
+        assert all(r.alarms == (500, 1000, 1500) for r in none.runs)
+
+    def test_a_stream_that_cannot_be_made_fails_only_its_cells(self):
+        # Five drifts are more than circles' four concepts allow.
+        base = replace(self.BASE, params=dict(FAST, drift_every=400))
+        report = run_matrix(["circles", "sine1"], ["mddm_a", "none"], base)
+        assert [(c.stream, c.detector) for c in report.errors] == [
+            ("circles", "mddm_a"), ("circles", "none")]
+        assert all(isinstance(c.error, UsageError) for c in report.errors)
+        assert [row.stream for row in report.aggregates] == ["sine1", "sine1"]
+
+    def test_import_leaves_scipy_out(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        child = "import sys, driftbench.experiments; print('scipy' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.stdout.strip() == "False", done.stderr
 
 
 class TestCli:

@@ -8,6 +8,7 @@ import pytest
 from driftbench import (
     ConceptSchedule,
     DataFormatError,
+    NaiveBayes,
     StreamSpec,
     UsageError,
     circles_label,
@@ -18,6 +19,7 @@ from driftbench import (
     led_emit,
     load_csv_stream,
     mixed_label,
+    prequential_run,
     sine1_label,
 )
 from driftbench.streams import (
@@ -293,6 +295,56 @@ class TestCsvRoundTrip:
         stream = load_csv_stream(path, schema=[NOMINAL])
         assert stream.schema.kinds == (NOMINAL,)
         assert stream.schema.cardinalities == (2,)
+
+    @pytest.mark.parametrize("family", ["sine1", "mixed", "circles", "led"])
+    def test_round_trip_keeps_schema_and_prequential_bits(self, tmp_path, family):
+        path = tmp_path / f"{family}.csv"
+        spec = StreamSpec(family, length=300, seed=21)
+        dump_stream(spec, path)
+        loaded, original = load_csv_stream(path), generate_stream(spec)
+        assert loaded.schema == original.schema
+        assert np.array_equal(loaded.X, original.X)
+        assert np.array_equal(loaded.y, original.y)
+        bits = [prequential_run(s, NaiveBayes(s.schema), keep_bits=True).bits
+                for s in (loaded, original)]
+        assert np.array_equal(*bits)
+
+    def test_marked_cardinalities_survive_absent_values(self, tmp_path):
+        # Value 2 and classes 2-3 never occur, yet they count for smoothing.
+        path = tmp_path / "marked.csv"
+        path.write_text("v:nominal:3,x,label:nominal:4\n1,0.5,0\n0,0.25,1\n")
+        stream = load_csv_stream(path)
+        assert stream.schema.names == ("v", "x")
+        assert stream.schema.kinds == (NOMINAL, NUMERIC)
+        assert stream.schema.cardinalities == (3, 0)
+        assert stream.schema.n_classes == 4
+        assert stream.X[:, 0].tolist() == [1.0, 0.0]
+
+    def test_header_only_marked_file_keeps_kinds(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("v:nominal:2,x,label\n")
+        assert load_csv_stream(path).schema.kinds == (NOMINAL, NUMERIC)
+
+    @pytest.mark.parametrize("row", ["2,0", "red,0", "1,4", "1,UP"])
+    def test_value_outside_a_marked_column_is_data_error(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"v:nominal:2,label:nominal:4\n0,1\n{row}\n")
+        with pytest.raises(DataFormatError, match="line 3.*marked cardinality"):
+            load_csv_stream(path)
+
+    def test_declared_numeric_on_marked_column_rejected(self, tmp_path):
+        path = tmp_path / "clash.csv"
+        path.write_text("v:nominal:2,label\n0,A\n")
+        with pytest.raises(DataFormatError, match="nominal-marked"):
+            load_csv_stream(path, schema=[NUMERIC])
+
+    def test_unmarked_integer_columns_keep_inference(self, tmp_path):
+        path = tmp_path / "plain.csv"
+        path.write_text("v,w:nominal,label\n0,1,0\n1,0,1\n")
+        stream = load_csv_stream(path)
+        assert stream.schema.names == ("v", "w:nominal")
+        assert stream.schema.kinds == (NUMERIC, NUMERIC)
+        assert stream.schema.cardinalities == (0, 0)
 
     def test_streaming_iterator_positions(self, tmp_path):
         path = tmp_path / "pos.csv"
