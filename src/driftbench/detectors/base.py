@@ -6,6 +6,10 @@ time and answers with a :class:`Verdict`.  Detectors that internally
 monitor errors rather than successes take the complement themselves,
 so callers never have to remember which convention a method uses.
 
+A detector implements :meth:`DriftDetector.scan` alone; ``step`` is a
+scan of one bit, and the read-only ``warning`` says whether the last
+bit consumed drew a Warning.
+
 A detector instance is single-stream mutable state: it may be handed
 from thread to thread, and many instances can run in parallel on
 independent streams, but stepping one instance concurrently is not
@@ -18,6 +22,8 @@ import enum
 from abc import ABC, abstractmethod
 from typing import Iterable, Optional
 
+import numpy as np
+
 
 class Verdict(enum.Enum):
     """Outcome of feeding one prediction bit to a detector."""
@@ -27,44 +33,44 @@ class Verdict(enum.Enum):
     DRIFT = "drift"
 
 
+def bit_list(bits: Iterable) -> Iterable:
+    """``bits`` for a per-bit loop; an ndarray's list reads several times faster."""
+    return bits.tolist() if isinstance(bits, np.ndarray) else bits
+
+
 class DriftDetector(ABC):
     """Base class for prediction-bit drift detectors."""
 
     name: str = "detector"
-
-    @abstractmethod
-    def step(self, bit) -> Verdict:
-        """Consume one prediction bit (truthy = correct prediction)."""
+    warning: bool = False
 
     @abstractmethod
     def reset(self) -> None:
         """Return to the freshly constructed state."""
 
+    @abstractmethod
     def scan(self, bits: Iterable) -> Optional[int]:
-        """Feed ``bits`` until the first Drift verdict.
+        """Feed ``bits`` (truthy = correct) until the first Drift verdict.
 
         Returns the index (within ``bits``) of the bit that triggered
         the drift, or None if the whole sequence was consumed without
         one.  State advances exactly as far as the bits consumed, so a
         caller can resume with the remaining bits.
         """
-        step = self.step
-        drift = Verdict.DRIFT
-        bit_list = bits.tolist() if hasattr(bits, "tolist") else bits
-        for i, b in enumerate(bit_list):
-            if step(b) is drift:
-                return i
-        return None
 
-    def drift_points(self, bits) -> list[int]:
+    def step(self, bit) -> Verdict:
+        """Consume one prediction bit: a scan of one bit."""
+        if self.scan((bit,)) == 0:
+            return Verdict.DRIFT
+        return Verdict.WARNING if self.warning else Verdict.NO_CHANGE
+
+    def drift_points(self, bits: Iterable) -> list[int]:
         """Indices of every Drift verdict over a full bit sequence."""
         out = []
         offset = 0
-        remaining = bits
-        while True:
-            hit = self.scan(remaining)
-            if hit is None:
-                return out
+        remaining = bits if isinstance(bits, np.ndarray) else list(bits)  # read once
+        while (hit := self.scan(remaining)) is not None:
             out.append(offset + hit)
             offset += hit + 1
             remaining = remaining[hit + 1:]
+        return out

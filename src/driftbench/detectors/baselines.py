@@ -1,11 +1,12 @@
 """Classic drift detectors used as comparison baselines.
 
 All of them consume the same prediction-bit convention as the rest of
-the package (1 = correct prediction) and complement internally where
-the underlying method monitors errors.  Except for ADWIN, which sheds
-old window content, and RDDM, which rebuilds its statistics from a
-stored recent segment, a detector that just signalled Drift is in the
-same state as a freshly constructed one.
+the package (1 = correct prediction) and complement internally where the
+underlying method monitors errors.  Each implements only ``scan``
+(``step`` is a scan of one bit); DDM, EDDM and RDDM set ``warning``.
+Except for ADWIN, which sheds old window content, and RDDM, which
+rebuilds its statistics from a stored recent segment, a detector that
+just signalled Drift is in the same state as a freshly constructed one.
 
 Method origins: CUSUM and Page-Hinkley go back to Page (1954); DDM is
 Gama et al. (2004); EDDM is Baena-Garcia et al. (2006); RDDM is Barros
@@ -20,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import DriftDetector, Verdict
+from .base import DriftDetector, Verdict, bit_list
 
 
 class CUSUM(DriftDetector):
@@ -50,15 +51,16 @@ class CUSUM(DriftDetector):
         self.mean = 0.0
         self.g = 0.0
 
-    def step(self, bit) -> Verdict:
-        error = 0.0 if bit else 1.0
-        self.count += 1
-        self.mean += (error - self.mean) / self.count
-        self.g = max(0.0, self.g + (error - self.mean - self.slack))
-        if self.count >= self.min_instances and self.g > self.threshold:
-            self.reset()
-            return Verdict.DRIFT
-        return Verdict.NO_CHANGE
+    def scan(self, bits) -> Optional[int]:
+        for i, bit in enumerate(bit_list(bits)):
+            error = 0.0 if bit else 1.0
+            self.count += 1
+            self.mean += (error - self.mean) / self.count
+            self.g = max(0.0, self.g + (error - self.mean - self.slack))
+            if self.count >= self.min_instances and self.g > self.threshold:
+                self.reset()
+                return i
+        return None
 
 
 class PageHinkley(DriftDetector):
@@ -85,21 +87,22 @@ class PageHinkley(DriftDetector):
         self.cumulative = 0.0
         self.minimum = math.inf
 
-    def step(self, bit) -> Verdict:
-        x = 0.0 if bit else 1.0
-        self.count += 1
-        self.mean += (x - self.mean) / self.count
-        self.cumulative += x - self.mean - self.slack
-        if self.cumulative < self.minimum:
-            self.minimum = self.cumulative
-        if self.cumulative - self.minimum > self.threshold:
-            self.reset()
-            return Verdict.DRIFT
-        return Verdict.NO_CHANGE
+    def scan(self, bits) -> Optional[int]:
+        for i, bit in enumerate(bit_list(bits)):
+            x = 0.0 if bit else 1.0
+            self.count += 1
+            self.mean += (x - self.mean) / self.count
+            self.cumulative += x - self.mean - self.slack
+            if self.cumulative < self.minimum:
+                self.minimum = self.cumulative
+            if self.cumulative - self.minimum > self.threshold:
+                self.reset()
+                return i
+        return None
 
 
 # Looked up once: reading a member off an Enum class costs about 150 ns in
-# CPython 3.11, a large share of a DDM or RDDM step.
+# CPython 3.11, a large share of the work per DDM or RDDM bit.
 _NO_CHANGE, _WARNING, _DRIFT = Verdict.NO_CHANGE, Verdict.WARNING, Verdict.DRIFT
 
 
@@ -132,6 +135,7 @@ class DDM(DriftDetector):
         self.s = 0.0
         self.p_min = math.inf
         self.s_min = math.inf
+        self.warning = False
 
     def _update(self, error: float) -> None:
         count = self.count + 1
@@ -144,21 +148,24 @@ class DDM(DriftDetector):
         if level < self.p_min + self.s_min:
             self.p_min, self.s_min = self.p, self.s
         p_min, s_min = self.p_min, self.s_min
-        # Drift is evaluated before warning so one step never reports both.
+        # Drift is evaluated before warning so one bit never draws both.
         if level > p_min + self.drift_level * s_min:
             return _DRIFT
         if level > p_min + self.warning_level * s_min:
             return _WARNING
         return _NO_CHANGE
 
-    def step(self, bit) -> Verdict:
-        self._update(0.0 if bit else 1.0)
-        if self.count < self.min_instances:
-            return _NO_CHANGE
-        verdict = self._level_test()
-        if verdict is _DRIFT:
-            self.reset()
-        return verdict
+    def scan(self, bits) -> Optional[int]:
+        for i, bit in enumerate(bit_list(bits)):
+            self._update(0.0 if bit else 1.0)
+            if self.count < self.min_instances:
+                continue  # too early to test; reset() left warning False
+            verdict = self._level_test()
+            if verdict is _DRIFT:
+                self.reset()
+                return i
+            self.warning = verdict is _WARNING
+        return None
 
 
 class EDDM(DriftDetector):
@@ -189,34 +196,35 @@ class EDDM(DriftDetector):
         self.dist_mean = 0.0
         self._dist_m2 = 0.0
         self.level_max = 0.0
+        self.warning = False
 
-    def step(self, bit) -> Verdict:
-        self.count += 1
-        if bit:
-            return Verdict.NO_CHANGE
-        self.n_errors += 1
-        if self.n_errors == 1:
+    def scan(self, bits) -> Optional[int]:
+        for i, bit in enumerate(bit_list(bits)):
+            self.count += 1
+            self.warning = False
+            if bit:
+                continue
+            self.n_errors += 1
+            distance = float(self.count - self.last_error_at)
             self.last_error_at = self.count
-            return Verdict.NO_CHANGE
-        distance = float(self.count - self.last_error_at)
-        self.last_error_at = self.count
-        m = self.n_errors - 1  # number of gaps observed
-        delta = distance - self.dist_mean
-        self.dist_mean += delta / m
-        self._dist_m2 += delta * (distance - self.dist_mean)
-        std = math.sqrt(self._dist_m2 / m)
-        level = self.dist_mean + 2.0 * std
-        if level > self.level_max:
-            self.level_max = level
-        if self.n_errors < self.min_errors or self.level_max == 0.0:
-            return Verdict.NO_CHANGE
-        ratio = level / self.level_max
-        if ratio < self.beta:
-            self.reset()
-            return Verdict.DRIFT
-        if ratio < self.alpha:
-            return Verdict.WARNING
-        return Verdict.NO_CHANGE
+            if self.n_errors == 1:
+                continue  # the first error only opens the first gap
+            m = self.n_errors - 1  # number of gaps observed
+            delta = distance - self.dist_mean
+            self.dist_mean += delta / m
+            self._dist_m2 += delta * (distance - self.dist_mean)
+            std = math.sqrt(self._dist_m2 / m)
+            level = self.dist_mean + 2.0 * std
+            if level > self.level_max:
+                self.level_max = level
+            if self.n_errors < self.min_errors or self.level_max == 0.0:
+                continue
+            ratio = level / self.level_max
+            if ratio < self.beta:
+                self.reset()
+                return i
+            self.warning = ratio < self.alpha
+        return None
 
 
 class RDDM(DDM):
@@ -262,33 +270,35 @@ class RDDM(DDM):
         self.warn_count = 0
         self._warn_start = -1
 
-    def step(self, bit) -> Verdict:
-        error = 0.0 if bit else 1.0
-        if len(self.stored) == self.stored.maxlen and self._warn_start > 0:
-            self._warn_start -= 1  # ring about to evict the oldest stored bit
-        self.stored.append(error)
-        self._update(error)
-        self.concept_size += 1
-        verdict = _NO_CHANGE
-        if self.count >= self.min_instances:
-            verdict = self._level_test()
-            if verdict is _DRIFT:
-                self._rebuild(error)
-                return verdict
-            if verdict is _WARNING:
-                if self._warn_start < 0:
-                    self._warn_start = len(self.stored) - 1
-                self.warn_count += 1
-                if self.warn_count > self.warn_limit:
+    def scan(self, bits) -> Optional[int]:
+        for i, bit in enumerate(bit_list(bits)):
+            error = 0.0 if bit else 1.0
+            if len(self.stored) == self.stored.maxlen and self._warn_start > 0:
+                self._warn_start -= 1  # ring about to evict the oldest stored bit
+            self.stored.append(error)
+            self._update(error)
+            self.concept_size += 1
+            verdict = _NO_CHANGE
+            if self.count >= self.min_instances:
+                verdict = self._level_test()
+                if verdict is _DRIFT:
                     self._rebuild(error)
-                    return _DRIFT
-            else:
-                self.warn_count = 0
-                self._warn_start = -1
-        if self.concept_size > self.max_concept:
-            self._rebuild(error)
-            return _DRIFT
-        return verdict
+                    return i
+                if verdict is _WARNING:
+                    if self._warn_start < 0:
+                        self._warn_start = len(self.stored) - 1
+                    self.warn_count += 1
+                    if self.warn_count > self.warn_limit:
+                        self._rebuild(error)
+                        return i
+                else:
+                    self.warn_count = 0
+                    self._warn_start = -1
+            if self.concept_size > self.max_concept:
+                self._rebuild(error)
+                return i
+            self.warning = verdict is _WARNING
+        return None
 
 
 # ADWIN certifies the splits of its whole window once per _EPOCH bits and
@@ -336,8 +346,7 @@ class ADWIN(DriftDetector):
     ``max_window`` are bookkeeping, not alarms.  Splits are checked at
     stride 1 with no bucket compression.
 
-    :meth:`scan` looks ahead at the bits it is given (:meth:`step` is a
-    scan of one bit).  A split of the window is certified safe for the
+    :meth:`scan` looks ahead at the bits it is given.  A split of the window is certified safe for the
     next S bits when
 
         |mu0 - mu1| + min((D + S |mu1 - c|) / n1, S / (n1 + S)) [+ S / (n0 - S)]
@@ -386,9 +395,6 @@ class ADWIN(DriftDetector):
     def _scale(self, n: int) -> float:
         """scale(n) = ln(4 n / delta) / 4 for a window of n bits."""
         return math.log(4.0 * n / self.delta) * 0.25
-
-    def step(self, bit) -> Verdict:
-        return _DRIFT if self.scan((bit,)) == 0 else _NO_CHANGE
 
     def scan(self, bits) -> Optional[int]:
         """Look-ahead :meth:`DriftDetector.scan`; same verdicts as testing

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .base import DriftDetector, Verdict
+from .base import DriftDetector
 
 DEFAULT_DELTA = 1e-6
 DEFAULT_ARITHMETIC_STEP = 0.01
@@ -172,36 +172,22 @@ class MDDM(DriftDetector):
         if len(self._win) < self.n:
             return None
         arr = np.array(self._win, dtype=np.float64)
-        # np.correlate is the same inner product the batch scan uses, so
-        # step() and scan() agree exactly.
+        # np.correlate is the same inner product scan() takes, so this is
+        # exactly the mean it last tested.
         return float(np.correlate(arr, self._v)[0])
-
-    def step(self, bit) -> Verdict:
-        win = self._win
-        if len(win) == self.n:
-            del win[0]
-        win.append(1 if bit else 0)
-        if len(win) < self.n:
-            return Verdict.NO_CHANGE
-        mu = self.weighted_mean()
-        if mu > self.mu_max:
-            self.mu_max = mu
-        if self.mu_max - mu >= self.epsilon:
-            self.reset()
-            return Verdict.DRIFT
-        return Verdict.NO_CHANGE
 
     def drift_points(self, bits) -> list[int]:
         """One-pass vectorised :meth:`DriftDetector.drift_points`."""
         return self._drifts(bits, first_only=False)
 
     def scan(self, bits) -> Optional[int]:
-        """Vectorised :meth:`DriftDetector.scan`; same verdicts as step()."""
+        """Vectorised :meth:`DriftDetector.scan`."""
         hits = self._drifts(bits, first_only=True)
         return hits[0] if hits else None
 
     def _drifts(self, bits, first_only: bool) -> list[int]:
-        """Indices of the Drift verdicts step() would give over ``bits``.
+        """Indices of the bits among ``bits`` that draw a Drift verdict by
+        the rule of the module docstring.
 
         The held window is prepended to the new bits, so one correlation
         yields the mean of every full window the bits complete.  The
@@ -212,7 +198,7 @@ class MDDM(DriftDetector):
         """
         held = len(self._win)
         if not isinstance(bits, np.ndarray):
-            bits = np.fromiter(bits, dtype=np.float64)  # any iterable, read once
+            bits = np.fromiter(bits, dtype=bool)  # any iterable, read once; truthy = 1
         seq = np.concatenate([np.asarray(self._win, dtype=np.float64),
                               np.asarray(bits, dtype=np.float64)])
         n = self.n

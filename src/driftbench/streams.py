@@ -75,7 +75,7 @@ LED_ATTRIBUTES = 24
 # default layout starts at positions 0-6 and successive concepts swap
 # 3, then 1, then 3 of them with previously irrelevant positions; a
 # different reading of the drift magnitudes only needs a different
-# layout tuple here (or per-spec via StreamSpec.led_layout).
+# layout tuple here.
 LED_DEFAULT_LAYOUT = (
     (0, 1, 2, 3, 4, 5, 6),
     (7, 8, 9, 3, 4, 5, 6),
@@ -138,7 +138,6 @@ class StreamSpec:
     noise: float = DEFAULT_NOISE
     schedule: Optional[ConceptSchedule] = None
     seed: int = 0
-    led_layout: Optional[tuple[tuple[int, ...], ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "family", self.family.lower())
@@ -149,6 +148,8 @@ class StreamSpec:
                 f"stream length must lie in [1, {MAX_LENGTH}], got {self.length}")
         if not 0.0 <= self.noise < 1.0:
             raise UsageError(f"noise rate must lie in [0, 1), got {self.noise}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_schedule(self) -> ConceptSchedule:
         sched = self.schedule or default_schedule(self.family, self.length)
@@ -254,16 +255,15 @@ def circles_label(x: float, y: float, concept: int) -> int:
     return int((x - cx) ** 2 + (y - cy) ** 2 <= r * r)
 
 
-def led_emit(rng: np.random.Generator, concept: int,
-             layout: Sequence[Sequence[int]] = LED_DEFAULT_LAYOUT) -> LabeledInstance:
+def led_emit(rng: np.random.Generator, concept: int) -> LabeledInstance:
     """Draw one LED instance: a uniform digit whose seven segment bits sit
     at the concept's positions, every other attribute uniform random."""
-    if not 0 <= concept < len(layout):
-        raise UsageError(f"led layout defines concepts 0..{len(layout) - 1}, "
+    if not 0 <= concept < len(LED_DEFAULT_LAYOUT):
+        raise UsageError(f"led layout defines concepts 0..{len(LED_DEFAULT_LAYOUT) - 1}, "
                          f"got {concept}")
     digit = int(rng.integers(0, 10))
     attrs = rng.integers(0, 2, size=LED_ATTRIBUTES)
-    attrs[list(layout[concept])] = LED_SEGMENTS[digit]
+    attrs[list(LED_DEFAULT_LAYOUT[concept])] = LED_SEGMENTS[digit]
     return LabeledInstance(0, tuple(int(a) for a in attrs), digit, concept)
 
 
@@ -332,10 +332,9 @@ def generate_stream(spec: StreamSpec) -> Stream:
         X = xy
 
     else:  # led
-        layout = spec.led_layout or LED_DEFAULT_LAYOUT
-        if schedule.concepts > len(layout):
+        if schedule.concepts > len(LED_DEFAULT_LAYOUT):
             raise UsageError(
-                f"led layout defines {len(layout)} concepts, schedule needs "
+                f"led layout defines {len(LED_DEFAULT_LAYOUT)} concepts, schedule needs "
                 f"{schedule.concepts}")
         digits = rng.integers(0, 10, size=n)
         attrs = rng.integers(0, 2, size=(n, LED_ATTRIBUTES))
@@ -343,7 +342,7 @@ def generate_stream(spec: StreamSpec) -> Stream:
         for c in range(schedule.concepts):
             rows = np.nonzero(concept == c)[0]
             if rows.size:
-                attrs[np.ix_(rows, list(layout[c]))] = LED_SEGMENTS[digits[rows]]
+                attrs[np.ix_(rows, list(LED_DEFAULT_LAYOUT[c]))] = LED_SEGMENTS[digits[rows]]
         y_clean = digits.astype(np.int64)
         flip = rng.random(n) < spec.noise
         offsets = rng.integers(1, 10, size=n)

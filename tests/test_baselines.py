@@ -191,6 +191,12 @@ class StrideOneAdwin(DriftDetector):
             dropped = True
         return Verdict.DRIFT if dropped else Verdict.NO_CHANGE
 
+    def scan(self, bits):
+        for i, bit in enumerate(bits):
+            if self.step(bit) is Verdict.DRIFT:
+                return i
+        return None
+
 
 def piecewise_bernoulli(rng, length):
     """Bits in a few segments, each with its own success rate."""

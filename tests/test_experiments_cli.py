@@ -464,6 +464,16 @@ class TestOutOfDomainValues:
         assert "stream length" in done.stderr
         assert time.monotonic() - started < 20
 
+    @pytest.mark.parametrize("extra", [["--detector", "mddm_a", "--runs", "1"], ["--dump"]])
+    def test_negative_seed_is_usage_error(self, extra, tmp_path, capsys):
+        if extra == ["--dump"]:
+            extra = ["--dump", str(tmp_path / "dump.csv")]
+        assert main(["--stream", "sine1", "--seed", "-1", "--set", "length=2000"] + extra) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "seed must be >= 0" in err
+        with pytest.raises(UsageError, match="seed"):
+            StreamSpec("sine1", seed=-1)
+
     @pytest.mark.parametrize("field", ["window_size", "accept_delay"])
     def test_config_rejects_zero(self, field):
         with pytest.raises(UsageError, match=field):
