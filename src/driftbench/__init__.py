@@ -32,7 +32,6 @@ from .experiments import ExperimentConfig, ExperimentResult, MatrixReport, run_e
 from .learners import NaiveBayes, NotTrainedError, RunRecord, prequential_run
 from .streams import (
     ConceptSchedule,
-    LabeledInstance,
     Stream,
     StreamSchema,
     StreamSpec,
@@ -41,8 +40,6 @@ from .streams import (
     drift_probability,
     dump_stream,
     generate_stream,
-    iter_csv_instances,
-    led_emit,
     load_csv_stream,
     mixed_label,
     sine1_label,
@@ -53,13 +50,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ADWIN", "AggregateRow", "Arithmetic", "ConceptSchedule", "CUSUM",
     "DataFormatError", "DDM", "DriftDetector", "DriftScore", "EDDM", "Euler",
-    "ExperimentConfig", "ExperimentResult", "Geometric", "LabeledInstance",
-    "MatrixReport", "MDDM", "NaiveBayes", "NotTrainedError", "PageHinkley",
-    "RDDM", "RunRecord", "Stream", "StreamSchema", "StreamSpec", "Uniform",
+    "ExperimentConfig", "ExperimentResult", "Geometric", "MatrixReport",
+    "MDDM", "NaiveBayes", "NotTrainedError", "PageHinkley", "RDDM",
+    "RunRecord", "Stream", "StreamSchema", "StreamSpec", "Uniform",
     "UsageError", "Verdict", "WeightScheme", "aggregate", "build_weights",
     "circles_label", "compute_epsilon", "default_schedule",
     "drift_probability", "dump_stream", "fhddm", "generate_stream",
-    "iter_csv_instances", "led_emit", "load_csv_stream", "mixed_label",
-    "prequential_run", "run_experiment", "run_matrix", "score_run",
-    "sine1_label",
+    "load_csv_stream", "mixed_label", "prequential_run", "run_experiment",
+    "run_matrix", "score_run", "sine1_label",
 ]

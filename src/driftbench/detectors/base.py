@@ -25,6 +25,11 @@ from typing import Iterable, Optional
 import numpy as np
 
 
+# Longest slice drift_points hands to one scan; prequential_run's blocks
+# are no longer.
+_SCAN_SLICE = 4096
+
+
 class Verdict(enum.Enum):
     """Outcome of feeding one prediction bit to a detector."""
 
@@ -65,12 +70,19 @@ class DriftDetector(ABC):
         return Verdict.WARNING if self.warning else Verdict.NO_CHANGE
 
     def drift_points(self, bits: Iterable) -> list[int]:
-        """Indices of every Drift verdict over a full bit sequence."""
+        """Indices of every Drift verdict over a full bit sequence.
+
+        Each ``scan`` gets at most ``_SCAN_SLICE`` bits, so a per-bit
+        loop does not convert the whole remainder once per alarm.
+        """
+        bits = bits if isinstance(bits, np.ndarray) else list(bits)  # read once
         out = []
-        offset = 0
-        remaining = bits if isinstance(bits, np.ndarray) else list(bits)  # read once
-        while (hit := self.scan(remaining)) is not None:
-            out.append(offset + hit)
-            offset += hit + 1
-            remaining = remaining[hit + 1:]
+        start = 0
+        while start < len(bits):
+            hit = self.scan(bits[start:start + _SCAN_SLICE])
+            if hit is None:
+                start += _SCAN_SLICE
+            else:
+                out.append(start + hit)
+                start += hit + 1
         return out

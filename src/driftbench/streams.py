@@ -31,7 +31,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -170,16 +170,6 @@ class StreamSchema:
     n_classes: int
 
 
-@dataclass(frozen=True)
-class LabeledInstance:
-    """One stream element: attributes, class label, stream position."""
-
-    position: int
-    attributes: tuple
-    label: int
-    true_concept: Optional[int] = None
-
-
 @dataclass
 class Stream:
     """A materialised stream: attribute matrix, labels, and ground truth.
@@ -195,23 +185,11 @@ class Stream:
     y: np.ndarray
     schema: StreamSchema
     drift_positions: tuple[int, ...] = ()
-    transition: int = 1
     concepts: Optional[np.ndarray] = None
     y_clean: Optional[np.ndarray] = None
-    seed: Optional[int] = None
 
     def __len__(self) -> int:
         return self.y.shape[0]
-
-    def instances(self) -> Iterator[LabeledInstance]:
-        kinds = self.schema.kinds
-        for t in range(len(self)):
-            row = self.X[t]
-            attrs = tuple(
-                float(row[j]) if kinds[j] == NUMERIC else int(row[j])
-                for j in range(len(kinds)))
-            concept = None if self.concepts is None else int(self.concepts[t])
-            yield LabeledInstance(t, attrs, int(self.y[t]), concept)
 
 
 def _logistic(x):
@@ -253,18 +231,6 @@ def circles_label(x: float, y: float, concept: int) -> int:
         raise UsageError(f"circles supports concepts 0..3, got {concept}")
     (cx, cy), r = CIRCLES[concept]
     return int((x - cx) ** 2 + (y - cy) ** 2 <= r * r)
-
-
-def led_emit(rng: np.random.Generator, concept: int) -> LabeledInstance:
-    """Draw one LED instance: a uniform digit whose seven segment bits sit
-    at the concept's positions, every other attribute uniform random."""
-    if not 0 <= concept < len(LED_DEFAULT_LAYOUT):
-        raise UsageError(f"led layout defines concepts 0..{len(LED_DEFAULT_LAYOUT) - 1}, "
-                         f"got {concept}")
-    digit = int(rng.integers(0, 10))
-    attrs = rng.integers(0, 2, size=LED_ATTRIBUTES)
-    attrs[list(LED_DEFAULT_LAYOUT[concept])] = LED_SEGMENTS[digit]
-    return LabeledInstance(0, tuple(int(a) for a in attrs), digit, concept)
 
 
 def _concept_draws(n: int, schedule: ConceptSchedule, rng: np.random.Generator) -> np.ndarray:
@@ -354,133 +320,91 @@ def generate_stream(spec: StreamSpec) -> Stream:
 
     return Stream(name=family, X=X, y=y.astype(np.int64), schema=schema,
                   drift_positions=schedule.positions,
-                  transition=schedule.transition,
-                  concepts=concept, y_clean=y_clean.astype(np.int64),
-                  seed=spec.seed)
+                  concepts=concept, y_clean=y_clean.astype(np.int64))
 
 
-class CsvStreamReader:
-    """Streaming CSV reader with the package's stream conventions.
+def load_csv_stream(path) -> Stream:
+    """Materialise a CSV stream for the benchmark harness.
 
     The first row is a header; the last column is the class label.
     Attribute columns are numeric when their first data value parses as
-    a float, nominal otherwise, unless ``schema`` supplies an explicit
-    kind (:data:`NUMERIC` / :data:`NOMINAL`) per attribute column.
-    Nominal values are interned to integer codes in first-seen order.
-    Label strings that are nonnegative integers are taken verbatim as
-    class codes (so dumped streams load back with identical labels);
-    otherwise labels are class names, interned in first-seen order.  A
-    label column mixing the two is a :class:`DataFormatError`.
+    a float, nominal otherwise.  A numeric value must be finite: ``nan``,
+    ``inf`` or an overflowing literal such as ``1e400`` is a
+    :class:`DataFormatError`.  Nominal values get integer codes in
+    first-seen order.  Labels that are nonnegative integers are taken
+    verbatim as class codes (so dumped streams load back with identical
+    labels); otherwise labels are class names, coded in first-seen order.
+    The first label decides which, and a label column mixing the two is a
+    :class:`DataFormatError`.
 
     A header field ``name:nominal:<k>`` (as :func:`dump_stream` writes
     for nominal attributes and the label) marks a column of integer codes
     ``0..k-1``: an attribute so marked is nominal with cardinality ``k``
     and the label column has ``k`` classes, even when some codes never
     occur in the file.  Marked values are taken verbatim; anything else
-    in a marked column is a :class:`DataFormatError`, and so is a
-    declared schema calling a marked attribute numeric.
+    in a marked column is a :class:`DataFormatError`.
 
-    Rows are yielded one at a time, so arbitrarily large files can be
-    consumed without materialising them; the inferred ``kinds``,
-    ``names``, code tables and ``n_classes`` are available once
-    iteration starts (kinds after the first data row).
+    Blank rows are skipped, a header-only file is an empty stream, and
+    an error in a data row names its line.
     """
-
-    def __init__(self, path, schema: Optional[Sequence[str]] = None):
-        self.path = Path(path)
-        self.declared = list(schema) if schema is not None else None
-        self.names: tuple[str, ...] = ()
-        self.kinds: Optional[list[str]] = None
-        self.nominal_codes: list[dict[str, int]] = []
-        self.marked: list[int] = []      # marked cardinality per attribute, 0 if none
-        self.label_mark = 0
-        self.label_codes: dict[str, int] = {}
-        self.max_label = -1
-
-    @property
-    def n_classes(self) -> int:
-        return max(self.max_label + 1, len(self.label_codes), self.label_mark)
-
-    def __iter__(self) -> Iterator[LabeledInstance]:
-        with open(self.path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                raise DataFormatError(f"{self.path}: empty file, expected a header row")
-            if len(header) < 2:
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError(f"{path}: empty file, expected a header row")
+        if len(header) < 2:
+            raise DataFormatError(
+                f"{path}: need at least one attribute column and a label column")
+        marks = [_NOMINAL_MARK.match(name) for name in header]
+        header = [m.group(1) if m else name for m, name in zip(marks, header)]
+        *marked, label_mark = [int(m.group(2)) if m else 0 for m in marks]
+        # Kinds and whether labels are codes come from the first data row.
+        kinds = label_is_code = None
+        codes = [{} for _ in marked]   # nominal value -> code, per attribute
+        label_codes: dict[str, int] = {}
+        rows, labels = [], []
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
                 raise DataFormatError(
-                    f"{self.path}: need at least one attribute column and a "
-                    "label column")
-            n_attrs = len(header) - 1
-            marks = [_NOMINAL_MARK.match(name) for name in header]
-            header = [m.group(1) if m else name for m, name in zip(marks, header)]
-            *self.marked, self.label_mark = [int(m.group(2)) if m else 0 for m in marks]
-            self.names = tuple(header[:-1])
-            self.nominal_codes = [dict() for _ in range(n_attrs)]
-            if self.declared is not None:
-                if len(self.declared) != n_attrs:
-                    raise DataFormatError(
-                        f"{self.path}: schema lists {len(self.declared)} kinds "
-                        f"for {n_attrs} attribute columns")
-                clash = [name for name, kind, card in zip(self.names, self.declared, self.marked)
-                         if card and kind != NOMINAL]
-                if clash:
-                    raise DataFormatError(
-                        f"{self.path}: schema declares the nominal-marked "
-                        f"column(s) {clash} numeric")
-                self.kinds = list(self.declared)
-            position = 0
-            for line, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataFormatError(
-                        f"{self.path}: line {line}: expected {len(header)} "
-                        f"fields, got {len(row)}")
-                if self.kinds is None:
-                    self.kinds = [NOMINAL if card else _inferred_kind(value)
-                                  for card, value in zip(self.marked, row[:-1])]
-                attrs = []
-                for j, value in enumerate(row[:-1]):
-                    if self.marked[j]:
-                        attrs.append(self._marked_code(value, self.marked[j], line, header[j]))
-                    elif self.kinds[j] == NUMERIC:
-                        try:
-                            attrs.append(float(value))
-                        except ValueError as exc:
-                            raise DataFormatError(
-                                f"{self.path}: line {line}: column "
-                                f"{header[j]!r}: {value!r} is not numeric") from exc
-                    else:
-                        codes = self.nominal_codes[j]
-                        attrs.append(codes.setdefault(value, len(codes)))
-                raw_label = row[-1]
-                if self.label_mark:
-                    label = self._marked_code(raw_label, self.label_mark, line, header[-1])
+                    f"{path}: line {line}: expected {len(header)} fields, got {len(row)}")
+            if kinds is None:
+                kinds = [NOMINAL if card else _inferred_kind(value)
+                         for card, value in zip(marked, row)]
+                label_is_code = bool(_INT_LABEL.match(row[-1]))
+            attrs = []
+            for j, value in enumerate(row[:-1]):
+                if marked[j]:
+                    attrs.append(_marked_code(path, line, header[j], value, marked[j]))
+                elif kinds[j] == NUMERIC:
+                    attrs.append(_finite(path, line, header[j], value))
                 else:
-                    # Names are interned from 0, so an integer code in the same
-                    # column could share a name's code.
-                    is_code = bool(_INT_LABEL.match(raw_label))
-                    seen_names = bool(self.label_codes)
-                    seen_codes = self.max_label >= 0 and not seen_names
-                    if (is_code and seen_names) or (not is_code and seen_codes):
-                        raise DataFormatError(
-                            f"{self.path}: line {line}: label {raw_label!r} mixes "
-                            "integer class codes with class names")
-                    if is_code:
-                        label = int(raw_label)
-                    else:
-                        label = self.label_codes.setdefault(raw_label, len(self.label_codes))
-                self.max_label = max(self.max_label, label)
-                yield LabeledInstance(position, tuple(attrs), label)
-                position += 1
-
-    def _marked_code(self, value: str, card: int, line: int, column: str) -> int:
-        if _INT_LABEL.match(value) and int(value) < card:
-            return int(value)
-        raise DataFormatError(
-            f"{self.path}: line {line}: column {column!r}: {value!r} is not a "
-            f"code below its marked cardinality {card}")
+                    attrs.append(codes[j].setdefault(value, len(codes[j])))
+            raw_label = row[-1]
+            if label_mark:
+                labels.append(_marked_code(path, line, header[-1], raw_label, label_mark))
+            elif bool(_INT_LABEL.match(raw_label)) != label_is_code:
+                # Names are coded from 0, so an integer code in the same
+                # column could share a name's code.
+                raise DataFormatError(
+                    f"{path}: line {line}: label {raw_label!r} mixes integer class "
+                    "codes with class names")
+            elif label_is_code:
+                labels.append(int(raw_label))
+            else:
+                labels.append(label_codes.setdefault(raw_label, len(label_codes)))
+            rows.append(attrs)
+    if kinds is None:
+        kinds = [NOMINAL if card else NUMERIC for card in marked]
+    cards = tuple((card or len(values)) if kind == NOMINAL else 0
+                  for kind, card, values in zip(kinds, marked, codes))
+    n_classes = max(max(labels, default=-1) + 1, label_mark)
+    return Stream(name=path.stem,
+                  X=np.array(rows, dtype=np.float64).reshape(-1, len(marked)),
+                  y=np.array(labels, dtype=np.int64),
+                  schema=StreamSchema(tuple(header[:-1]), tuple(kinds), cards, n_classes))
 
 
 def _inferred_kind(value: str) -> str:
@@ -491,41 +415,24 @@ def _inferred_kind(value: str) -> str:
         return NOMINAL
 
 
-def iter_csv_instances(path, schema: Optional[Sequence[str]] = None) -> Iterator[LabeledInstance]:
-    """Stream labelled instances from a CSV file (see :class:`CsvStreamReader`)."""
-    return iter(CsvStreamReader(path, schema))
+def _finite(path: Path, line: int, column: str, value: str) -> float:
+    try:
+        number = float(value)
+    except ValueError as exc:
+        raise DataFormatError(
+            f"{path}: line {line}: column {column!r}: {value!r} is not numeric") from exc
+    if not math.isfinite(number):
+        raise DataFormatError(
+            f"{path}: line {line}: column {column!r}: {value!r} is not a finite number")
+    return number
 
 
-def load_csv_stream(path, schema: Optional[Sequence[str]] = None) -> Stream:
-    """Materialise a CSV stream for the benchmark harness."""
-    reader = CsvStreamReader(path, schema)
-    rows = []
-    labels = []
-    for inst in reader:
-        rows.append(inst.attributes)
-        labels.append(inst.label)
-    kinds = tuple(reader.kinds) if reader.kinds is not None else ()
-    if not kinds:
-        kinds = tuple(NOMINAL if card else NUMERIC for card in reader.marked)
-    if rows:
-        X = np.array(rows, dtype=np.float64)
-        y = np.array(labels, dtype=np.int64)
-    else:
-        X = np.zeros((0, len(reader.names)))
-        y = np.zeros(0, dtype=np.int64)
-    cards = []
-    for j, kind in enumerate(kinds):
-        if kind != NOMINAL:
-            cards.append(0)
-        elif reader.marked[j]:
-            cards.append(reader.marked[j])
-        elif reader.nominal_codes and reader.nominal_codes[j]:
-            cards.append(len(reader.nominal_codes[j]))
-        else:
-            cards.append(1)
-    return Stream(name=reader.path.stem, X=X, y=y,
-                  schema=StreamSchema(reader.names, kinds, tuple(cards),
-                                      reader.n_classes))
+def _marked_code(path: Path, line: int, column: str, value: str, card: int) -> int:
+    if _INT_LABEL.match(value) and int(value) < card:
+        return int(value)
+    raise DataFormatError(
+        f"{path}: line {line}: column {column!r}: {value!r} is not a code below its "
+        f"marked cardinality {card}")
 
 
 def dump_stream(spec, path) -> None:

@@ -485,6 +485,12 @@ class TestOutOfDomainValues:
         assert main(["--stream", str(path), "--detector", "none", "--runs", "1"]) == 3
         assert "line 3" in capsys.readouterr().err
 
+    def test_non_finite_csv_value_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("x,label\n0.1,0\nnan,1\n0.3,0\n0.4,1\n")
+        assert main(["--stream", str(path), "--detector", "none", "--runs", "1"]) == 3
+        assert "line 3" in capsys.readouterr().err
+
 
 class TestDumpSchedule:
     def test_dump_honours_schedule_keys(self, tmp_path):
