@@ -29,7 +29,7 @@ from .detectors import (
 from .errors import DataFormatError, UsageError
 from .evaluation import AggregateRow, DriftScore, aggregate, score_run
 from .experiments import ExperimentConfig, ExperimentResult, MatrixReport, run_experiment, run_matrix
-from .learners import NaiveBayes, NotTrainedError, RunRecord, prequential_run
+from .learners import NaiveBayes, NotTrainedError, RunRecord, prequential_run, prequential_runs
 from .streams import (
     ConceptSchedule,
     Stream,
@@ -56,6 +56,6 @@ __all__ = [
     "UsageError", "Verdict", "WeightScheme", "aggregate", "build_weights",
     "circles_label", "compute_epsilon", "default_schedule",
     "drift_probability", "dump_stream", "fhddm", "generate_stream",
-    "load_csv_stream", "mixed_label", "prequential_run", "run_experiment",
-    "run_matrix", "score_run", "sine1_label",
+    "load_csv_stream", "mixed_label", "prequential_run", "prequential_runs",
+    "run_experiment", "run_matrix", "score_run", "sine1_label",
 ]

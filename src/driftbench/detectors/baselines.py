@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..errors import as_int
 from .base import DriftDetector, Verdict, bit_list
 
 
@@ -43,7 +44,7 @@ class CUSUM(DriftDetector):
             raise ValueError(f"threshold must be positive, got {threshold}")
         self.slack = float(slack)
         self.threshold = float(threshold)
-        self.min_instances = int(min_instances)
+        self.min_instances = as_int("min_instances", min_instances)
         self.reset()
 
     def reset(self) -> None:
@@ -126,7 +127,7 @@ class DDM(DriftDetector):
                 f"({drift_level})")
         self.warning_level = float(warning_level)
         self.drift_level = float(drift_level)
-        self.min_instances = int(min_instances)
+        self.min_instances = as_int("min_instances", min_instances)
         self.reset()
 
     def reset(self) -> None:
@@ -186,7 +187,7 @@ class EDDM(DriftDetector):
             raise ValueError(f"beta ({beta}) must be below alpha ({alpha})")
         self.alpha = float(alpha)
         self.beta = float(beta)
-        self.min_errors = int(min_errors)
+        self.min_errors = as_int("min_errors", min_errors)
         self.reset()
 
     def reset(self) -> None:
@@ -245,9 +246,9 @@ class RDDM(DDM):
     def __init__(self, warning_level: float = 1.773, drift_level: float = 2.258,
                  max_concept: int = 40000, min_stable: int = 7000,
                  warn_limit: int = 1400, min_instances: int = 129):
-        self.max_concept = int(max_concept)
-        self.min_stable = int(min_stable)
-        self.warn_limit = int(warn_limit)
+        self.max_concept = as_int("max_concept", max_concept)
+        self.min_stable = as_int("min_stable", min_stable)
+        self.warn_limit = as_int("warn_limit", warn_limit)
         super().__init__(warning_level, drift_level, min_instances)
 
     def reset(self) -> None:
@@ -375,7 +376,7 @@ class ADWIN(DriftDetector):
         if max_window < 2:
             raise ValueError(f"max_window must be >= 2, got {max_window}")
         self.delta = float(delta)
-        self.max_window = int(max_window)
+        self.max_window = as_int("max_window", max_window)
         self.reset()
 
     def reset(self) -> None:

@@ -23,6 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ..errors import as_int
 from .base import DriftDetector
 
 DEFAULT_DELTA = 1e-6
@@ -144,7 +145,7 @@ class MDDM(DriftDetector):
         if scheme is None:
             scheme = Arithmetic()
         self.scheme = scheme
-        self.n = int(n)
+        self.n = as_int("n", n)
         self.delta = float(delta)
         if weights is None:
             weights = build_weights(scheme, self.n)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check."""
 
 
 class UsageError(Exception):
@@ -7,3 +7,15 @@ class UsageError(Exception):
 
 class DataFormatError(Exception):
     """Malformed input data (CSV parsing and schema problems)."""
+
+
+def as_int(name: str, value) -> int:
+    """``value`` as an int; a ValueError naming ``name`` if it has a
+    fractional part (or is not a number), rather than truncating it."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return number

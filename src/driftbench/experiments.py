@@ -26,9 +26,9 @@ from typing import Callable, Optional
 
 from .detectors import ADWIN, CUSUM, DDM, EDDM, MDDM, RDDM, Arithmetic, Euler, Geometric, PageHinkley, fhddm
 from .detectors.mddm import DEFAULT_DELTA
-from .errors import DataFormatError, UsageError
+from .errors import DataFormatError, UsageError, as_int
 from .evaluation import AggregateRow, DriftScore, aggregate, score_run, unscored_row
-from .learners import NaiveBayes, prequential_run
+from .learners import prequential_runs
 from .streams import (DEFAULT_LENGTH, DEFAULT_NOISE, StreamSpec, default_schedule,
                       generate_stream, load_csv_stream)
 
@@ -158,13 +158,15 @@ def _stream_family(config: ExperimentConfig) -> str:
 
 def _build_stream_spec(config: ExperimentConfig, seed: int) -> StreamSpec:
     params = config.params
+    try:
+        length = as_int("length", params.get("length", DEFAULT_LENGTH))
+        reshape = {kw: as_int(key, params[key]) for key, kw in SCHEDULE_KEYS.items()
+                   if key in params}
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     # The spec checks the length before the schedule enumerates its drifts.
-    spec = StreamSpec(family=config.stream, length=int(params.get("length", DEFAULT_LENGTH)),
-                      noise=config.noise, seed=seed)
-    schedule = default_schedule(
-        spec.family, spec.length,
-        **{kw: int(params[key]) for key, kw in SCHEDULE_KEYS.items() if key in params})
-    return replace(spec, schedule=schedule)
+    spec = StreamSpec(family=config.stream, length=length, noise=config.noise, seed=seed)
+    return replace(spec, schedule=default_schedule(spec.family, spec.length, **reshape))
 
 
 def _build_detector(config: ExperimentConfig, window: int):
@@ -231,8 +233,9 @@ def _run_stream(stream: str, detectors: list[str],
     The cells differ only in their detector.  Every cell's configuration
     and detector are built first, so a bad parameter fails its own cell
     before any run.  Then each run seed's stream is generated once (a CSV
-    stream is loaded once) and run through every live cell in order, so
-    only one stream is held at a time.
+    stream is loaded once) and run through every live cell by one
+    ``prequential_runs`` call, so only one stream is held at a time and
+    cells share the learner work of equal reset histories.
     """
     cells: list = []  # per detector: (config, detector, runs), or its error
     for name in detectors:
@@ -246,6 +249,7 @@ def _run_stream(stream: str, detectors: list[str],
     live = [cell for cell in cells if not isinstance(cell, Exception)]
     if live:
         first = live[0][0]
+        live_detectors = [detector for _, detector, _ in live]
         family = _stream_family(first)
         accept_delay = (ACCEPT_DELAY_DEFAULTS.get(family) if first.accept_delay is None
                         else first.accept_delay)
@@ -255,11 +259,11 @@ def _run_stream(stream: str, detectors: list[str],
                 seed = first.seed + run_index
                 data = (csv_stream if csv_stream is not None
                         else generate_stream(_build_stream_spec(first, seed)))
-                for config, detector, runs in live:
+                for detector in live_detectors:
                     if detector is not None:
                         detector.reset()
-                    record = prequential_run(data, NaiveBayes(data.schema), detector,
-                                             policy=config.policy)
+                records = prequential_runs(data, live_detectors, policy=first.policy)
+                for (config, _, runs), record in zip(live, records):
                     score = None if csv_stream is not None else score_run(
                         record.alarms, data.drift_positions, accept_delay, len(data),
                         record.accuracy)

@@ -7,31 +7,44 @@ instance under constant memory.  Numeric likelihoods are Gaussian with
 a variance floor; nominal likelihoods are Laplace-smoothed; ties in the
 posterior break toward the lowest class code.
 
-``prequential_run`` drives a stream through predict -> record bit ->
-detector -> train.  Internally it works block-wise: within a stretch
-where the model is not reset, the predictions of every class are
-vectorised over ``(classes, block)`` arrays by seeding row-wise NumPy
-cumulative sums with the model's current statistics, which reproduces
-the per-instance arithmetic bit for bit (cumsum accumulates left to
-right exactly like repeated ``+=``).  The nominal counts of a block come
-from one table with a row per (attribute, value) pair and, grouped by
-class, a seed column per class and a column per block instance: one
-cumsum serves every attribute and class, and the Laplace terms take one
-log per table cell rather than one per (instance, class, attribute).
-Blocks are shorter than ``_BLOCK`` only where that table would exceed
-``_TABLE_CELLS``.
-On a Drift verdict the adaptation policy decides whether the model
-restarts.  A reset throws away the rest of its block, so the next block
-is no longer than the stretch between the last two resets (at least
-``_FIRST_BLOCK`` rows) and then doubles: alarm cascades waste little,
-rare alarms keep full blocks, and the cost stays linear in the stream.
+``prequential_runs`` drives a stream through predict -> record bit ->
+detector -> train for several detectors at once, and ``prequential_run``
+is its one-detector call.  Under the ``reset`` policy the model after a
+reset at position p is ``reset()`` + ``train(X[p])`` whatever came
+before, so the learner state at t depends only on t and the last reset
+position.  Detectors whose last reset is at the same position therefore
+share one *timeline*: one model and one block of bits, which each member
+scans.  An alarm at p moves its detector to the timeline keyed p, made
+on first use (from the parent's model when no member is left on the
+parent) and joined by every later detector that resets at p; timelines
+advance in order of their next position, so the one keyed p is still at
+p + 1 when they join.  Under ``none`` and ``blind`` every detector stays
+on one timeline.
+
+Each timeline works block-wise: within a stretch where the model is not
+reset, the predictions of every class are vectorised over
+``(classes, block)`` arrays by seeding row-wise NumPy cumulative sums
+with the model's current statistics, which reproduces the per-instance
+arithmetic bit for bit (cumsum accumulates left to right exactly like
+repeated ``+=``), so block boundaries never change a bit.  The nominal
+counts of a block come from one table with a row per (attribute, value)
+pair and, grouped by class, a seed column per class and a column per
+block instance: one cumsum serves every attribute and class, and the
+Laplace terms take one log per table cell rather than one per
+(instance, class, attribute).  Blocks are shorter than ``_BLOCK`` only
+where that table would exceed ``_TABLE_CELLS``.  A reset throws away the
+rest of the block for the detector that fired, so a timeline made at a
+reset starts with a block no longer than the stretch since its parent's
+reset (at least ``_FIRST_BLOCK`` rows), which then doubles: alarm
+cascades waste little, rare alarms keep full blocks, and the cost stays
+linear in the stream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -249,10 +262,22 @@ def _parse_policy(policy: str):
                      "'none', or 'blind:<period>'")
 
 
-def prequential_run(stream: Stream, model: Optional[NaiveBayes] = None,
-                    detector: Optional[DriftDetector] = None,
-                    policy: str = "reset", keep_bits: bool = False) -> RunRecord:
-    """Test-then-train over a stream, feeding prediction bits to a detector.
+@dataclass
+class _Timeline:
+    """One learner history shared by the detectors in ``members``: the
+    model since the reset at ``start`` (0 for the root), advanced to ``t``."""
+
+    model: NaiveBayes
+    start: int
+    t: int
+    size: int  # rows in its next block
+    members: list[int]
+
+
+def prequential_runs(stream: Stream, detectors: Sequence[Optional[DriftDetector]],
+                     policy: str = "reset", keep_bits: bool = False,
+                     model: Optional[NaiveBayes] = None) -> list[RunRecord]:
+    """Test-then-train over a stream, once per detector; one record each.
 
     Every instance is first predicted (an untrained model predicts
     incorrectly by convention, including right after a reset), the
@@ -263,59 +288,92 @@ def prequential_run(stream: Stream, model: Optional[NaiveBayes] = None,
     restarts the model every ``period`` instances (alarms at the
     multiples of the period).  Warnings are never acted on.  Accuracy
     counts every prediction.
+
+    Each record is what a run of its detector alone would give: the
+    detectors only share the Naive Bayes work of equal learner histories
+    (see the module docstring), so they must be distinct objects (``None``
+    runs without one).  ``model`` is the root timeline's model, a fresh
+    one by default.
     """
     kind, period = _parse_policy(policy)
-    if kind == "blind" and detector is not None:
+    if kind == "blind" and any(detector is not None for detector in detectors):
         raise UsageError("the blind policy runs without a detector")
     if model is None:
         model = NaiveBayes(stream.schema)
     X, y = stream.X, stream.y
     n = y.shape[0]
-    alarms: list[int] = []
-    bits_out = np.zeros(n, dtype=bool) if keep_bits else None
-    correct = 0
-    t = 0
+    alarms: list[list[int]] = [[] for _ in detectors]
+    correct = [0] * len(detectors)
+    bits_out = [np.zeros(n, dtype=bool) if keep_bits else None for _ in detectors]
     width = max(int(model._cards.sum()), 1)
     longest = min(_BLOCK, max(_FIRST_BLOCK, _TABLE_CELLS // width - model.n_classes))
-    size = longest
-    last_reset = 0
-    while t < n:
-        block_end = min(n, t + size)
+    # Live timelines keyed by their last reset position, the root by None.
+    live = {None: _Timeline(model, 0, 0, longest, list(range(len(detectors))))}
+    while live:
+        key, line = min(live.items(), key=lambda item: item[1].t)
+        t = line.t
+        if t >= n:
+            break
+        block_end = min(n, t + line.size)
         if kind == "blind":
             block_end = min(block_end, ((t // period) + 1) * period)
-        bits, end_stats = _block_bits(model, X[t:block_end], y[t:block_end])
-        if keep_bits:
-            bits_out[t:block_end] = bits
-        cut = None
-        if detector is not None:
+        bits, end_stats = _block_bits(line.model, X[t:block_end], y[t:block_end])
+        stay, moves = [], []
+        for i in line.members:
+            detector = detectors[i]
+            cut = None
             offset = 0
-            while offset < bits.size:
+            while detector is not None and offset < bits.size:
                 hit = detector.scan(bits[offset:])
                 if hit is None:
                     break
-                position = t + offset + hit
-                alarms.append(position)
+                alarms[i].append(t + offset + hit)
                 if kind == "reset":
                     cut = offset + hit
                     break
                 offset += hit + 1
-        if cut is None:
-            correct += int(bits.sum())
-            model.total += bits.size
-            model.class_counts, model.num_sums, model.num_sumsqs, model.nom_counts = end_stats
-            t = block_end
-            size = min(2 * size, longest)
-            if kind == "blind" and t < n and t % period == 0:
-                alarms.append(t)
-                model.reset()
+            used = bits if cut is None else bits[:cut + 1]
+            correct[i] += int(used.sum())
+            if keep_bits:
+                bits_out[i][t:t + used.size] = used
+            if cut is None:
+                stay.append(i)
+            else:
+                moves.append((i, t + cut))
+        spare = None
+        if stay:
+            line.members = stay
+            line.model.total += bits.size
+            (line.model.class_counts, line.model.num_sums, line.model.num_sumsqs,
+             line.model.nom_counts) = end_stats
+            line.t = block_end
+            line.size = min(2 * line.size, longest)
+            if kind == "blind" and block_end < n and block_end % period == 0:
+                for i in stay:
+                    alarms[i].append(block_end)
+                line.model.reset()
         else:
-            correct += int(bits[:cut + 1].sum())
-            position = t + cut
-            # The alarming instance still trains the restarted model.
-            model.reset()
-            model.train(X[position], y[position])
-            t = position + 1
-            size = min(max(position - last_reset, _FIRST_BLOCK), longest)
-            last_reset = position
-    accuracy = correct / n if n else 0.0
-    return RunRecord(tuple(alarms), accuracy, n, bits_out)
+            del live[key]
+            spare = line.model
+        for i, position in moves:
+            # Timelines advance in order of t, so one keyed position is
+            # still at position + 1.
+            if position not in live:
+                fork = spare if spare is not None else NaiveBayes(stream.schema)
+                spare = None
+                # The alarming instance still trains the restarted model.
+                fork.reset()
+                fork.train(X[position], y[position])
+                size = min(max(position - line.start, _FIRST_BLOCK), longest)
+                live[position] = _Timeline(fork, position, position + 1, size, [])
+            live[position].members.append(i)
+    return [RunRecord(tuple(a), c / n if n else 0.0, n, b)
+            for a, c, b in zip(alarms, correct, bits_out)]
+
+
+def prequential_run(stream: Stream, model: Optional[NaiveBayes] = None,
+                    detector: Optional[DriftDetector] = None,
+                    policy: str = "reset", keep_bits: bool = False) -> RunRecord:
+    """The one-detector case of :func:`prequential_runs`; ``model`` (a
+    fresh one by default) ends in the state the run leaves it in."""
+    return prequential_runs(stream, [detector], policy, keep_bits, model)[0]

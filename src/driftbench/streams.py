@@ -335,7 +335,9 @@ def load_csv_stream(path) -> Stream:
     verbatim as class codes (so dumped streams load back with identical
     labels); otherwise labels are class names, coded in first-seen order.
     The first label decides which, and a label column mixing the two is a
-    :class:`DataFormatError`.
+    :class:`DataFormatError`.  A file of r data rows holds at most r
+    classes, so a code above r is a :class:`DataFormatError` too (0- and
+    1-based codes always pass).
 
     A header field ``name:nominal:<k>`` (as :func:`dump_stream` writes
     for nominal attributes and the label) marks a column of integer codes
@@ -364,6 +366,7 @@ def load_csv_stream(path) -> Stream:
         codes = [{} for _ in marked]   # nominal value -> code, per attribute
         label_codes: dict[str, int] = {}
         rows, labels = [], []
+        top_code = top_line = -1   # the largest label code and its first line
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -393,9 +396,16 @@ def load_csv_stream(path) -> Stream:
                     "codes with class names")
             elif label_is_code:
                 labels.append(int(raw_label))
+                if labels[-1] > top_code:
+                    top_code, top_line = labels[-1], line
             else:
                 labels.append(label_codes.setdefault(raw_label, len(label_codes)))
             rows.append(attrs)
+    if top_code > len(labels):
+        # Each class code sizes the learner's per-class arrays.
+        raise DataFormatError(
+            f"{path}: line {top_line}: label {top_code} is a class code above the "
+            f"file's {len(labels)} data rows")
     if kinds is None:
         kinds = [NOMINAL if card else NUMERIC for card in marked]
     cards = tuple((card or len(values)) if kind == NOMINAL else 0

@@ -375,13 +375,13 @@ class TestDetectorTable:
     def built(self, monkeypatch, detector, params):
         """The detector run_experiment hands to its run, before the run."""
         seen = []
-        real = experiments.prequential_run
+        real = experiments.prequential_runs
 
-        def spy(stream, model, det, **kwargs):
-            seen.append(copy.deepcopy(det))
-            return real(stream, model, det, **kwargs)
+        def spy(stream, detectors, **kwargs):
+            seen.append(copy.deepcopy(detectors)[0])
+            return real(stream, detectors, **kwargs)
 
-        monkeypatch.setattr(experiments, "prequential_run", spy)
+        monkeypatch.setattr(experiments, "prequential_runs", spy)
         run_experiment(ExperimentConfig(stream="sine1", detector=detector, runs=1,
                                         window_size=self.WINDOW,
                                         params=dict(FAST, **params)))
@@ -439,6 +439,24 @@ class TestOutOfDomainValues:
         assert isinstance(report.errors[0].error, UsageError)
         assert [row.detector for row in report.aggregates] == ["mddm_a"]
 
+    @pytest.mark.parametrize("detector,key,value", [
+        ("cusum", "length", 2000.7), ("none", "drift_every", 700.5), ("none", "zeta", 20.5),
+        ("cusum", "min_instances", 2.5), ("ddm", "min_instances", 30.5),
+        ("eddm", "min_errors", 10.5), ("rddm", "max_concept", 30000.5),
+        ("rddm", "min_stable", 5000.5), ("rddm", "warn_limit", 1000.5),
+        ("adwin", "max_window", 4096.5)])
+    def test_fractional_integer_key_is_usage_error(self, detector, key, value, capsys):
+        # Integer keys used to be truncated: length=2000.7 ran 2000 rows.
+        code = main(["--stream", "sine1", "--detector", detector, "--runs", "1",
+                     "--set", "length=2000", "--set", f"{key}={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and f"{key} must be an integer" in err
+        constructor, keys = DETECTORS[detector]
+        if key in keys:
+            with pytest.raises(ValueError, match=f"{key} must be an integer"):
+                constructor(**{keys[key]: value})
+
     @pytest.mark.parametrize("flag", ["--window-size", "--accept-delay"])
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_window_and_accept_delay_below_one_rejected(self, flag, value):
@@ -484,6 +502,14 @@ class TestOutOfDomainValues:
         path.write_text("x,label\n0.1,0\n0.2,UP\n0.3,1\n0.4,DOWN\n")
         assert main(["--stream", str(path), "--detector", "none", "--runs", "1"]) == 3
         assert "line 3" in capsys.readouterr().err
+
+    def test_huge_csv_label_code_is_a_data_error(self, tmp_path, capsys):
+        # The code would size the learner's per-class arrays (MemoryError).
+        path = tmp_path / "huge.csv"
+        path.write_text("x,label\n0.1,0\n0.2,1000000000000000\n")
+        assert main(["--stream", str(path), "--detector", "none", "--runs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "line 3" in err
 
     def test_non_finite_csv_value_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"

@@ -11,13 +11,16 @@ from driftbench import (
     CUSUM,
     DDM,
     EDDM,
+    Geometric,
     NaiveBayes,
     NotTrainedError,
     StreamSpec,
     UsageError,
     Verdict,
+    fhddm,
     generate_stream,
     prequential_run,
+    prequential_runs,
 )
 from driftbench import learners
 from driftbench.streams import NOMINAL, NUMERIC, ConceptSchedule, Stream, StreamSchema
@@ -306,3 +309,93 @@ class TestPrequentialRun:
                     model.reset()
             model.train(x, label)
         return alarms, sum(bits), bits
+
+
+class TestSharedTimelines:
+    """``prequential_runs`` shares Naive Bayes work between detectors with
+    the same reset history; each record must be the detector's own run."""
+
+    LINEUP = (lambda: None,
+              lambda: MDDM(Arithmetic(0.01), 25, 0.1),
+              lambda: MDDM(Arithmetic(0.01), 25, 0.1),
+              lambda: MDDM(Geometric(1.01), 25, 0.1),
+              lambda: fhddm(25, 0.1),
+              lambda: EDDM())
+
+    @staticmethod
+    def assert_same(shared, alone):
+        assert shared.alarms == alone.alarms
+        assert shared.accuracy == alone.accuracy
+        assert shared.n_instances == alone.n_instances
+        assert np.array_equal(shared.bits, alone.bits)
+
+    @staticmethod
+    def assert_trained_from(model, stream, start):
+        # The model after a run is a fresh one trained on the rows since
+        # the last reset, in order.
+        want = NaiveBayes(stream.schema)
+        for t in range(start, len(stream)):
+            want.train(stream.X[t], stream.y[t])
+        assert model.total == want.total
+        for name in ("class_counts", "num_sums", "num_sumsqs"):
+            assert np.array_equal(getattr(model, name), getattr(want, name)), name
+        for got, expected in zip(model.nom_counts, want.nom_counts, strict=True):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("family", ["sine1", "mixed", "led"])
+    @pytest.mark.parametrize("policy", ["reset", "none"])
+    def test_equals_separate_runs(self, family, policy):
+        # 12k rows and MDDM at delta 0.1: the timelines fork, re-merge and
+        # restart small blocks many times.
+        stream = generate_stream(StreamSpec(family, length=12_000, seed=6))
+        shared = prequential_runs(stream, [make() for make in self.LINEUP], policy,
+                                  keep_bits=True)
+        assert len(shared) == len(self.LINEUP)
+        for make, record in zip(self.LINEUP, shared):
+            model = NaiveBayes(stream.schema)
+            alone = prequential_run(stream, model, make(), policy, keep_bits=True)
+            self.assert_same(record, alone)
+            last = alone.alarms[-1] if policy == "reset" and alone.alarms else 0
+            self.assert_trained_from(model, stream, last)
+        a, g = shared[1].alarms, shared[3].alarms
+        assert len(a) > 20 and a != g and set(a) & set(g)
+
+    @pytest.mark.parametrize("lineup", [[None], [None, None]])
+    def test_blind_policy(self, lineup):
+        stream = generate_stream(StreamSpec("mixed", length=5_000, seed=2))
+        model = NaiveBayes(stream.schema)
+        shared = prequential_runs(stream, lineup, "blind:700", keep_bits=True, model=model)
+        alone = prequential_run(stream, None, None, "blind:700", keep_bits=True)
+        for record in shared:
+            self.assert_same(record, alone)
+        assert alone.alarms == tuple(range(700, 5_000, 700))
+        self.assert_trained_from(model, stream, 4_900)
+
+    def test_blind_policy_rejects_any_detector(self):
+        stream = generate_stream(StreamSpec("sine1", length=10, seed=1))
+        with pytest.raises(UsageError):
+            prequential_runs(stream, [None, CUSUM()], "blind:5")
+
+    def test_passed_model_is_the_single_runs_model(self):
+        stream = generate_stream(StreamSpec("sine1", length=6_000, seed=3))
+        runs_model, run_model = NaiveBayes(stream.schema), NaiveBayes(stream.schema)
+        record, = prequential_runs(stream, [MDDM(Arithmetic(0.01), 25, 0.1)], model=runs_model)
+        prequential_run(stream, run_model, MDDM(Arithmetic(0.01), 25, 0.1))
+        assert record.alarms
+        self.assert_trained_from(runs_model, stream, record.alarms[-1])
+        self.assert_trained_from(run_model, stream, record.alarms[-1])
+
+    @pytest.mark.parametrize("policy", ["reset", "none"])
+    def test_identical_detectors_compute_one_detectors_rows(self, monkeypatch, policy):
+        stream = generate_stream(StreamSpec("sine1", length=12_000, seed=6))
+        rows = []
+        block_bits = learners._block_bits
+        monkeypatch.setattr(learners, "_block_bits",
+                            lambda model, X, y: rows.append(len(y)) or block_bits(model, X, y))
+        one, = prequential_runs(stream, [MDDM(Arithmetic(0.01), 25, 0.1)], policy)
+        one_rows, rows[:] = sum(rows), []
+        many = prequential_runs(stream, [MDDM(Arithmetic(0.01), 25, 0.1) for _ in range(4)],
+                                policy)
+        assert len(one.alarms) > 20
+        assert sum(rows) == one_rows
+        assert all(record.alarms == one.alarms for record in many)

@@ -239,6 +239,21 @@ class TestCsvRoundTrip:
         with pytest.raises(DataFormatError, match="line 3"):
             load_csv_stream(path)
 
+    def test_label_code_above_row_count_rejected(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("x,label\n0.1,0\n0.2,7\n0.3,1000000000000000\n0.4,1000000000000000\n")
+        with pytest.raises(DataFormatError, match="line 4: label 1000000000000000"):
+            load_csv_stream(path)
+
+    @pytest.mark.parametrize("labels,n_classes", [((0, 1, 2), 3), ((1, 2, 3), 4), ((3, 3, 3), 4)])
+    def test_label_codes_up_to_row_count_pass(self, tmp_path, labels, n_classes):
+        # r rows hold at most r classes, so 0- and 1-based codes load.
+        path = tmp_path / "codes.csv"
+        path.write_text("x,label\n" + "".join(f"0.{i},{c}\n" for i, c in enumerate(labels)))
+        stream = load_csv_stream(path)
+        assert stream.y.tolist() == list(labels)
+        assert stream.schema.n_classes == n_classes
+
     def test_nominal_attribute_interning(self, tmp_path):
         path = tmp_path / "nom.csv"
         path.write_text("color,label\nred,A\nblue,B\nred,A\n")
