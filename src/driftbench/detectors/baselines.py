@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import as_int
-from .base import DriftDetector, Verdict, bit_list
+from .base import DriftDetector, bit_list
 
 
 class CUSUM(DriftDetector):
@@ -44,7 +44,7 @@ class CUSUM(DriftDetector):
             raise ValueError(f"threshold must be positive, got {threshold}")
         self.slack = float(slack)
         self.threshold = float(threshold)
-        self.min_instances = as_int("min_instances", min_instances)
+        self.min_instances = as_int("min_instances", min_instances, minimum=0)
         self.reset()
 
     def reset(self) -> None:
@@ -53,14 +53,19 @@ class CUSUM(DriftDetector):
         self.g = 0.0
 
     def scan(self, bits) -> Optional[int]:
+        count, mean, g = self.count, self.mean, self.g
+        slack, threshold, min_instances = self.slack, self.threshold, self.min_instances
         for i, bit in enumerate(bit_list(bits)):
             error = 0.0 if bit else 1.0
-            self.count += 1
-            self.mean += (error - self.mean) / self.count
-            self.g = max(0.0, self.g + (error - self.mean - self.slack))
-            if self.count >= self.min_instances and self.g > self.threshold:
+            count += 1
+            mean += (error - mean) / count
+            g += error - mean - slack
+            if not g > 0.0:  # max(0.0, g) without the call
+                g = 0.0
+            if count >= min_instances and g > threshold:
                 self.reset()
                 return i
+        self.count, self.mean, self.g = count, mean, g
         return None
 
 
@@ -89,22 +94,20 @@ class PageHinkley(DriftDetector):
         self.minimum = math.inf
 
     def scan(self, bits) -> Optional[int]:
+        count, mean, cumulative, minimum = self.count, self.mean, self.cumulative, self.minimum
+        slack, threshold = self.slack, self.threshold
         for i, bit in enumerate(bit_list(bits)):
             x = 0.0 if bit else 1.0
-            self.count += 1
-            self.mean += (x - self.mean) / self.count
-            self.cumulative += x - self.mean - self.slack
-            if self.cumulative < self.minimum:
-                self.minimum = self.cumulative
-            if self.cumulative - self.minimum > self.threshold:
+            count += 1
+            mean += (x - mean) / count
+            cumulative += x - mean - slack
+            if cumulative < minimum:
+                minimum = cumulative
+            if cumulative - minimum > threshold:
                 self.reset()
                 return i
+        self.count, self.mean, self.cumulative, self.minimum = count, mean, cumulative, minimum
         return None
-
-
-# Looked up once: reading a member off an Enum class costs about 150 ns in
-# CPython 3.11, a large share of the work per DDM or RDDM bit.
-_NO_CHANGE, _WARNING, _DRIFT = Verdict.NO_CHANGE, Verdict.WARNING, Verdict.DRIFT
 
 
 class DDM(DriftDetector):
@@ -127,7 +130,7 @@ class DDM(DriftDetector):
                 f"({drift_level})")
         self.warning_level = float(warning_level)
         self.drift_level = float(drift_level)
-        self.min_instances = as_int("min_instances", min_instances)
+        self.min_instances = as_int("min_instances", min_instances, minimum=0)
         self.reset()
 
     def reset(self) -> None:
@@ -138,34 +141,29 @@ class DDM(DriftDetector):
         self.s_min = math.inf
         self.warning = False
 
-    def _update(self, error: float) -> None:
-        count = self.count + 1
-        p = self.p + (error - self.p) / count
-        self.count, self.p, self.s = count, p, math.sqrt(p * (1.0 - p) / count)
-
-    def _level_test(self) -> Verdict:
-        """Record a new minimum of p + s and compare p + s to the levels."""
-        level = self.p + self.s
-        if level < self.p_min + self.s_min:
-            self.p_min, self.s_min = self.p, self.s
-        p_min, s_min = self.p_min, self.s_min
-        # Drift is evaluated before warning so one bit never draws both.
-        if level > p_min + self.drift_level * s_min:
-            return _DRIFT
-        if level > p_min + self.warning_level * s_min:
-            return _WARNING
-        return _NO_CHANGE
-
     def scan(self, bits) -> Optional[int]:
+        count, p, s = self.count, self.p, self.s
+        p_min, s_min, warning = self.p_min, self.s_min, self.warning
+        warning_level, drift_level = self.warning_level, self.drift_level
+        min_instances, sqrt = self.min_instances, math.sqrt
         for i, bit in enumerate(bit_list(bits)):
-            self._update(0.0 if bit else 1.0)
-            if self.count < self.min_instances:
+            error = 0.0 if bit else 1.0
+            count += 1
+            p += (error - p) / count
+            s = sqrt(p * (1.0 - p) / count)
+            if count < min_instances:
                 continue  # too early to test; reset() left warning False
-            verdict = self._level_test()
-            if verdict is _DRIFT:
+            # Record a new minimum of p + s and compare p + s to the levels;
+            # drift is tested before warning so one bit never draws both.
+            level = p + s
+            if level < p_min + s_min:
+                p_min, s_min = p, s
+            if level > p_min + drift_level * s_min:
                 self.reset()
                 return i
-            self.warning = verdict is _WARNING
+            warning = level > p_min + warning_level * s_min
+        self.count, self.p, self.s = count, p, s
+        self.p_min, self.s_min, self.warning = p_min, s_min, warning
         return None
 
 
@@ -187,7 +185,7 @@ class EDDM(DriftDetector):
             raise ValueError(f"beta ({beta}) must be below alpha ({alpha})")
         self.alpha = float(alpha)
         self.beta = float(beta)
-        self.min_errors = as_int("min_errors", min_errors)
+        self.min_errors = as_int("min_errors", min_errors, minimum=0)
         self.reset()
 
     def reset(self) -> None:
@@ -200,31 +198,37 @@ class EDDM(DriftDetector):
         self.warning = False
 
     def scan(self, bits) -> Optional[int]:
+        count, n_errors, last_error_at = self.count, self.n_errors, self.last_error_at
+        dist_mean, dist_m2, level_max = self.dist_mean, self._dist_m2, self.level_max
+        warning, alpha, beta = self.warning, self.alpha, self.beta
+        min_errors, sqrt = self.min_errors, math.sqrt
         for i, bit in enumerate(bit_list(bits)):
-            self.count += 1
-            self.warning = False
+            count += 1
+            warning = False
             if bit:
                 continue
-            self.n_errors += 1
-            distance = float(self.count - self.last_error_at)
-            self.last_error_at = self.count
-            if self.n_errors == 1:
+            n_errors += 1
+            distance = float(count - last_error_at)
+            last_error_at = count
+            if n_errors == 1:
                 continue  # the first error only opens the first gap
-            m = self.n_errors - 1  # number of gaps observed
-            delta = distance - self.dist_mean
-            self.dist_mean += delta / m
-            self._dist_m2 += delta * (distance - self.dist_mean)
-            std = math.sqrt(self._dist_m2 / m)
-            level = self.dist_mean + 2.0 * std
-            if level > self.level_max:
-                self.level_max = level
-            if self.n_errors < self.min_errors or self.level_max == 0.0:
+            m = n_errors - 1  # number of gaps observed
+            delta = distance - dist_mean
+            dist_mean += delta / m
+            dist_m2 += delta * (distance - dist_mean)
+            level = dist_mean + 2.0 * sqrt(dist_m2 / m)
+            if level > level_max:
+                level_max = level
+            if n_errors < min_errors or level_max == 0.0:
                 continue
-            ratio = level / self.level_max
-            if ratio < self.beta:
+            ratio = level / level_max
+            if ratio < beta:
                 self.reset()
                 return i
-            self.warning = ratio < self.alpha
+            warning = ratio < alpha
+        self.count, self.n_errors, self.last_error_at = count, n_errors, last_error_at
+        self.dist_mean, self._dist_m2, self.level_max = dist_mean, dist_m2, level_max
+        self.warning = warning
         return None
 
 
@@ -246,8 +250,8 @@ class RDDM(DDM):
     def __init__(self, warning_level: float = 1.773, drift_level: float = 2.258,
                  max_concept: int = 40000, min_stable: int = 7000,
                  warn_limit: int = 1400, min_instances: int = 129):
-        self.max_concept = as_int("max_concept", max_concept)
-        self.min_stable = as_int("min_stable", min_stable)
+        self.max_concept = as_int("max_concept", max_concept, minimum=1)
+        self.min_stable = as_int("min_stable", min_stable, minimum=0)
         self.warn_limit = as_int("warn_limit", warn_limit)
         super().__init__(warning_level, drift_level, min_instances)
 
@@ -258,48 +262,67 @@ class RDDM(DDM):
         self.warn_count = 0
         self._warn_start = -1  # index into self.stored, -1 = no episode
 
-    def _rebuild(self, error: float) -> None:
-        if self._warn_start >= 0:
-            replay = list(self.stored)[self._warn_start:]
-        else:
-            replay = [error]
+    def _rebuild(self, error: float, warn_start: int) -> None:
+        """Recompute the statistics from the bits of the active warning
+        episode, which starts at ``stored[warn_start]``, or from ``error``
+        alone with no episode active (``warn_start`` < 0)."""
+        replay = list(self.stored)[warn_start:] if warn_start >= 0 else [error]
         DDM.reset(self)  # the statistics only
         self.stored = deque(replay, maxlen=self.min_stable)
-        for e in replay:
-            self._update(e)
-        self.concept_size = len(replay)
+        count, p = 0, self.p
+        for e in replay:  # the p/s update of scan, one bit at a time
+            count += 1
+            p += (e - p) / count
+        self.count, self.p, self.s = count, p, math.sqrt(p * (1.0 - p) / count)
+        self.concept_size = count
         self.warn_count = 0
         self._warn_start = -1
 
     def scan(self, bits) -> Optional[int]:
+        count, p, s = self.count, self.p, self.s
+        p_min, s_min, warning = self.p_min, self.s_min, self.warning
+        concept_size, warn_count, warn_start = self.concept_size, self.warn_count, self._warn_start
+        warning_level, drift_level = self.warning_level, self.drift_level
+        min_instances, max_concept, warn_limit = self.min_instances, self.max_concept, self.warn_limit
+        stored, sqrt = self.stored, math.sqrt
+        store, full = stored.append, stored.maxlen
         for i, bit in enumerate(bit_list(bits)):
             error = 0.0 if bit else 1.0
-            if len(self.stored) == self.stored.maxlen and self._warn_start > 0:
-                self._warn_start -= 1  # ring about to evict the oldest stored bit
-            self.stored.append(error)
-            self._update(error)
-            self.concept_size += 1
-            verdict = _NO_CHANGE
-            if self.count >= self.min_instances:
-                verdict = self._level_test()
-                if verdict is _DRIFT:
-                    self._rebuild(error)
-                    return i
-                if verdict is _WARNING:
-                    if self._warn_start < 0:
-                        self._warn_start = len(self.stored) - 1
-                    self.warn_count += 1
-                    if self.warn_count > self.warn_limit:
-                        self._rebuild(error)
-                        return i
+            if warn_start > 0 and len(stored) == full:
+                warn_start -= 1  # the ring is about to evict the oldest stored bit
+            store(error)
+            count += 1
+            p += (error - p) / count
+            s = sqrt(p * (1.0 - p) / count)
+            concept_size += 1
+            warning = False
+            if count >= min_instances:
+                # DDM's level test with RDDM's levels.
+                level = p + s
+                if level < p_min + s_min:
+                    p_min, s_min = p, s
+                if level > p_min + drift_level * s_min:
+                    break
+                if level > p_min + warning_level * s_min:
+                    if warn_start < 0:
+                        warn_start = len(stored) - 1
+                    warn_count += 1
+                    if warn_count > warn_limit:
+                        break
+                    warning = True
                 else:
-                    self.warn_count = 0
-                    self._warn_start = -1
-            if self.concept_size > self.max_concept:
-                self._rebuild(error)
-                return i
-            self.warning = verdict is _WARNING
-        return None
+                    warn_count = 0
+                    warn_start = -1
+            if concept_size > max_concept:
+                break
+        else:  # no drift in bits; every break above is one at bit i
+            self.count, self.p, self.s = count, p, s
+            self.p_min, self.s_min, self.warning = p_min, s_min, warning
+            self.concept_size, self.warn_count, self._warn_start = (
+                concept_size, warn_count, warn_start)
+            return None
+        self._rebuild(error, warn_start)
+        return i
 
 
 # ADWIN certifies the splits of its whole window once per _EPOCH bits and
@@ -365,7 +388,12 @@ class ADWIN(DriftDetector):
     still left and those the 64 bits add are tested, step by step, with
     the exact squared test.  So the verdicts are those of testing every
     split after every bit, with no significant split left in the window
-    after a step, at a fraction of the cost.
+    after a step, at a fraction of the cost.  While no step of a 64-bit
+    batch sheds at ``max_window``, its steps share the window's start, so
+    each split's older part is computed once for the batch, not per step.
+    scale(n) is read from a table indexed by n that grows with the window
+    (never past ``max_window``) and that :meth:`reset` keeps, since it
+    depends on ``delta`` alone.
     """
 
     name = "adwin"
@@ -373,10 +401,9 @@ class ADWIN(DriftDetector):
     def __init__(self, delta: float = 0.002, max_window: int = 32768):
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
-        if max_window < 2:
-            raise ValueError(f"max_window must be >= 2, got {max_window}")
         self.delta = float(delta)
-        self.max_window = as_int("max_window", max_window)
+        self.max_window = as_int("max_window", max_window, minimum=2)
+        self._scales = np.array([-math.inf])  # see _scale_table; scale(0) = ln(0) / 4
         self.reset()
 
     def reset(self) -> None:
@@ -393,9 +420,20 @@ class ADWIN(DriftDetector):
         """Current window contents, oldest bit first."""
         return np.diff(self._totals[self._lo:self._hi + 1]).astype(np.int64)
 
+    def _scale_table(self, top: int) -> np.ndarray:
+        """The table of scale(n) = ln(4 n / delta) / 4 for windows of n bits,
+        index n, grown to cover ``top`` (doubling, up to ``max_window``)."""
+        table = self._scales
+        if top >= table.size:
+            size = min(max(top + 1, 2 * table.size), self.max_window + 1)
+            log, delta = math.log, self.delta
+            grown = [log(4.0 * n / delta) * 0.25 for n in range(table.size, size)]
+            self._scales = table = np.concatenate([table, grown])
+        return table
+
     def _scale(self, n: int) -> float:
-        """scale(n) = ln(4 n / delta) / 4 for a window of n bits."""
-        return math.log(4.0 * n / self.delta) * 0.25
+        """scale(n) for a window of n bits."""
+        return self._scale_table(n)[n]
 
     def scan(self, bits) -> Optional[int]:
         """Look-ahead :meth:`DriftDetector.scan`; same verdicts as testing
@@ -480,19 +518,21 @@ class ADWIN(DriftDetector):
         his = hi + steps
         los = lo + np.maximum(0, hi - lo + steps - self.max_window)
         ns = his - los
-        scales = np.array([self._scale(n) for n in range(ns[0], ns[-1] + 1)])[ns - ns[0]]
+        scales = self._scale_table(int(ns[-1]))[ns]
+        # While no step sheds, every step shares the window's start, so
+        # the older parts (base, n0, 1/n0) are one row, not one per step.
+        shared = los[-1] == lo
         rows = size  # the steps before the first firing one found so far
         width = max(1, _GRID // size)
         with np.errstate(divide="ignore", invalid="ignore"):
             for start in range(0, cuts.size, width):
                 block = cuts[start:start + width]
-                row_lo, row_hi = los[:rows, None], his[:rows, None]
-                n0 = (block - row_lo).astype(np.float64)
-                n1 = (row_hi - block).astype(np.float64)
+                row_lo, row_hi = (lo if shared else los[:rows, None]), his[:rows, None]
+                n0, n1 = block - row_lo, row_hi - block
                 base = totals[row_lo]
                 hits = _significant(totals[block] - base, totals[row_hi] - base,
                                     1.0 / n0, 1.0 / n1, scales[:rows, None])
-                hits &= (n0 > 0.0) & (n1 > 0.0)
+                hits &= (n0 > 0) & (n1 > 0)
                 fired = hits.any(axis=1)
                 if fired.any():
                     rows = int(fired.argmax())

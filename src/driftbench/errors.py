@@ -9,13 +9,16 @@ class DataFormatError(Exception):
     """Malformed input data (CSV parsing and schema problems)."""
 
 
-def as_int(name: str, value) -> int:
+def as_int(name: str, value, minimum: int | None = None) -> int:
     """``value`` as an int; a ValueError naming ``name`` if it has a
-    fractional part (or is not a number), rather than truncating it."""
+    fractional part (or is not a number), rather than truncating it, or
+    if it lies below ``minimum``."""
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or number != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {number}")
     return number

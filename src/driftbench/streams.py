@@ -45,6 +45,11 @@ DEFAULT_LENGTH = 100_000
 # instance is a float64 row held in memory, so a longer stream is refused
 # as a usage error before anything is built rather than failing to allocate.
 MAX_LENGTH = 100_000_000
+# Largest k a CSV header's "name:nominal:<k>" mark may declare.  Naive Bayes
+# sizes its per-class arrays by the label's k and keeps a (classes, k)
+# count table per nominal attribute before any row is read, so a larger
+# mark is refused as a data error rather than failing to allocate.
+MAX_CARDINALITY = 4096
 DEFAULT_NOISE = 0.10
 
 # Circle concepts: ((center_x, center_y), radius), one per concept.
@@ -344,7 +349,8 @@ def load_csv_stream(path) -> Stream:
     ``0..k-1``: an attribute so marked is nominal with cardinality ``k``
     and the label column has ``k`` classes, even when some codes never
     occur in the file.  Marked values are taken verbatim; anything else
-    in a marked column is a :class:`DataFormatError`.
+    in a marked column is a :class:`DataFormatError`, and so is a ``k``
+    above :data:`MAX_CARDINALITY`.
 
     Blank rows are skipped, a header-only file is an empty stream, and
     an error in a data row names its line.
@@ -360,6 +366,13 @@ def load_csv_stream(path) -> Stream:
                 f"{path}: need at least one attribute column and a label column")
         marks = [_NOMINAL_MARK.match(name) for name in header]
         header = [m.group(1) if m else name for m, name in zip(marks, header)]
+        for name, m in zip(header, marks):
+            # Compared as digits first: int() refuses strings over 4300 digits.
+            digits = m.group(2) if m else "0"
+            if len(digits) > len(str(MAX_CARDINALITY)) or int(digits) > MAX_CARDINALITY:
+                raise DataFormatError(
+                    f"{path}: line 1: column {name!r}: marked cardinality {digits} is above "
+                    f"the largest supported, {MAX_CARDINALITY}")
         *marked, label_mark = [int(m.group(2)) if m else 0 for m in marks]
         # Kinds and whether labels are codes come from the first data row.
         kinds = label_is_code = None

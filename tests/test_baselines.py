@@ -462,6 +462,35 @@ class TestAdwin:
                 start += chunk.size if hit is None else hit + 1
                 assert np.array_equal(det.window, ref.window), start
 
+    def test_scan_with_shared_and_per_step_window_starts(self):
+        """Scans of 64 bits are single batches.  One that sheds at
+        max_window gives each step its own window start, one that does not
+        shares one; steps fire in both kinds, as in the reference.  A reset
+        instance keeps its scale table and alarms like a fresh one."""
+        rng = np.random.default_rng(1)
+        cuts = np.sort(rng.integers(0, 600, size=4))
+        rates = rng.random(5)[np.searchsorted(cuts, np.arange(600), side="right")]
+        bits = (rng.random(600) < rates).astype(np.int64)
+        det, ref = ADWIN(0.002, 100), StrideOneAdwin(0.002, 100)
+        sheds = []  # per hit, whether its batch reached max_window
+        start = 0
+        while start < bits.size:
+            chunk = bits[start:start + 64]
+            reaches = len(det) + chunk.size > det.max_window
+            hit = det.scan(chunk)
+            assert hit == ref.scan(chunk), start
+            assert np.array_equal(det.window, ref.window), start
+            if hit is not None:
+                sheds.append(reaches)
+            start += chunk.size if hit is None else hit + 1
+        assert True in sheds and False in sheds
+        table = det._scales
+        assert table.size > 64
+        det.reset()
+        assert det._scales is table
+        want = StrideOneAdwin(0.002, 100).drift_points(bits)
+        assert det.drift_points(bits) == ADWIN(0.002, 100).drift_points(bits) == want
+
     def test_scan_takes_any_iterable(self):
         bits = [1] * 600 + [0] * 200
         hit = ADWIN().scan(np.array(bits))

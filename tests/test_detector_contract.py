@@ -333,20 +333,23 @@ def test_step_verdicts_equal_the_reference(case_id, make, make_ref, length, seed
 @pytest.mark.parametrize("case_id,make,make_ref,length", CASES, ids=[c[0] for c in CASES])
 def test_chunked_scan_equals_the_reference(case_id, make, make_ref, length, seed):
     rng, bits = _case_stream(case_id, seed, length)
-    ref = make_ref()
-    verdicts = [ref.step(b) for b in bits.tolist()]
-    want = [i for i, v in enumerate(verdicts) if v is _DRIFT]
-    det = make()
+    det, ref = make(), make_ref()
+    verdicts = []
     got = []
     start = 0
     while start < bits.size:
         chunk = bits[start:start + int(rng.integers(1, 5001))]
         hit = det.scan(chunk)
-        if hit is None:
-            start += chunk.size
-        else:
+        # The reference steps over the bits the scan consumed, so a state
+        # the scan failed to write back shows at the chunk that left it.
+        consumed = chunk.size if hit is None else hit + 1
+        verdicts += [ref.step(b) for b in chunk[:consumed].tolist()]
+        if hit is not None:
             got.append(start + hit)
-            start += hit + 1
+        start += consumed
+        assert state(det) == state(ref), start
+        assert det.warning is (verdicts[-1] is _WARNING), start
+    want = [i for i, v in enumerate(verdicts) if v is _DRIFT]
     assert got == want
     assert state(det) == state(ref)
     assert det.warning is (verdicts[-1] is _WARNING)

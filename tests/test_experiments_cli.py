@@ -457,6 +457,30 @@ class TestOutOfDomainValues:
             with pytest.raises(ValueError, match=f"{key} must be an integer"):
                 constructor(**{keys[key]: value})
 
+    @pytest.mark.parametrize("detector,key,value", [
+        ("cusum", "min_instances", -3), ("ddm", "min_instances", -5),
+        ("eddm", "min_errors", -1), ("rddm", "max_concept", -1), ("rddm", "max_concept", 0),
+        ("rddm", "min_stable", -1), ("rddm", "min_instances", -1)])
+    def test_negative_integer_key_is_usage_error(self, detector, key, value, capsys):
+        # max_concept=-1 used to force a drift on every bit, and min_stable=-1
+        # failed with deque's message, which names no key.
+        code = main(["--stream", "sine1", "--detector", detector, "--runs", "1",
+                     "--set", "length=2000", "--set", f"{key}={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and f"{key} must be >=" in err
+        constructor, keys = DETECTORS[detector]
+        with pytest.raises(ValueError, match=f"{key} must be >="):
+            constructor(**{keys[key]: value})
+
+    @pytest.mark.parametrize("detector,key,value", [
+        ("cusum", "min_instances", 0), ("ddm", "min_instances", 0), ("eddm", "min_errors", 0),
+        ("rddm", "min_stable", 0), ("rddm", "warn_limit", -1), ("rddm", "max_concept", 1)])
+    def test_integer_keys_at_their_bound_are_valid(self, detector, key, value, tmp_path):
+        assert main(["--stream", "sine1", "--detector", detector, "--runs", "1",
+                     "--set", "length=2000", "--set", f"{key}={value}",
+                     "--out", str(tmp_path / "runs.csv")]) == 0
+
     @pytest.mark.parametrize("flag", ["--window-size", "--accept-delay"])
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_window_and_accept_delay_below_one_rejected(self, flag, value):
@@ -510,6 +534,18 @@ class TestOutOfDomainValues:
         assert main(["--stream", str(path), "--detector", "none", "--runs", "1"]) == 3
         err = capsys.readouterr().err
         assert "internal error" not in err and "line 3" in err
+
+    @pytest.mark.parametrize("header,column", [
+        ("a,label:nominal:1000000000000000", "label"),
+        ("a:nominal:1000000000000000,label", "a"),
+        ("a,label:nominal:1" + "0" * 5000, "label")])
+    def test_huge_marked_cardinality_is_a_data_error(self, header, column, tmp_path, capsys):
+        # The mark would size Naive Bayes' arrays (MemoryError).
+        path = tmp_path / "marked.csv"
+        path.write_text(f"{header}\n0,0\n1,1\n")
+        assert main(["--stream", str(path), "--detector", "none", "--runs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "internal error" not in err and f"line 1: column {column!r}" in err
 
     def test_non_finite_csv_value_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"

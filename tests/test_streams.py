@@ -23,6 +23,7 @@ from driftbench import (
 from driftbench.streams import (
     LED_DEFAULT_LAYOUT,
     LED_SEGMENTS,
+    MAX_CARDINALITY,
     NOMINAL,
     NUMERIC,
 )
@@ -328,6 +329,20 @@ class TestCsvRoundTrip:
         path.write_text(f"v:nominal:2,label:nominal:4\n0,1\n{row}\n")
         with pytest.raises(DataFormatError, match="line 3.*marked cardinality"):
             load_csv_stream(path)
+
+    @pytest.mark.parametrize("marked", ["v", "label"])
+    def test_marked_cardinality_is_bounded(self, tmp_path, marked):
+        path = tmp_path / "marked.csv"
+        for card in (MAX_CARDINALITY, MAX_CARDINALITY + 1):
+            header = ",".join(f"{name}:nominal:{card}" if name == marked else name
+                              for name in ("v", "label"))
+            path.write_text(f"{header}\n0,0\n1,1\n")
+            if card == MAX_CARDINALITY:
+                schema = load_csv_stream(path).schema
+                assert card in (schema.n_classes, *schema.cardinalities)
+            else:
+                with pytest.raises(DataFormatError, match=f"line 1: column '{marked}'"):
+                    load_csv_stream(path)
 
     def test_unmarked_integer_columns_keep_inference(self, tmp_path):
         path = tmp_path / "plain.csv"
