@@ -35,6 +35,11 @@ DEFAULT_EULER_RATE = 0.01
 # inter-drift gaps stay cheap while long stable stretches amortise.
 _SCAN_CHUNK = 8192
 _SCAN_CHUNK_MAX = 262144
+# Fewest windows a block of the saturated scan evaluates, unless the bits
+# end first; candidate windows at most this many apart share one block.
+# A block's fixed cost (a correlation call and the loop around it, about
+# 5 us) is that of about 128 means.
+_MIN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -88,19 +93,46 @@ def build_weights(scheme: WeightScheme, n: int) -> np.ndarray:
 
     The first weight is 1 for every scheme and weights are strictly
     increasing toward the newest entry whenever the scheme parameter is
-    strictly above its lower bound.
+    strictly above its lower bound.  A parameter whose weights or weight
+    sum overflow float64 over ``n`` entries is a ValueError naming it.
     """
     if n < 1:
         raise ValueError(f"window size must be >= 1, got {n}")
     if isinstance(scheme, Uniform):
         return np.ones(n)
-    if isinstance(scheme, Arithmetic):
-        return 1.0 + scheme.d * np.arange(n, dtype=np.float64)
-    if isinstance(scheme, Euler):
-        scheme = Geometric(math.exp(scheme.rate))
-    if isinstance(scheme, Geometric):
-        return scheme.r ** np.arange(n, dtype=np.float64)
-    raise TypeError(f"unknown weight scheme: {scheme!r}")
+    steps = np.arange(n, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        if isinstance(scheme, Arithmetic):
+            weights, param = 1.0 + scheme.d * steps, f"arithmetic weight step d={scheme.d}"
+        elif isinstance(scheme, Geometric):
+            weights, param = scheme.r ** steps, f"geometric weight ratio r={scheme.r}"
+        elif isinstance(scheme, Euler):
+            try:  # Geometric's ratio e ** rate, so that the two agree bit for bit
+                ratio = math.exp(scheme.rate)
+            except OverflowError:
+                ratio = math.inf
+            weights, param = ratio ** steps, f"euler weight rate {scheme.rate}"
+        else:
+            raise TypeError(f"unknown weight scheme: {scheme!r}")
+    try:
+        _weight_sum(weights)
+    except ValueError:
+        raise ValueError(f"{param} overflows float64 over a window of {n}") from None
+    return weights
+
+
+def _weight_sum(weights: np.ndarray) -> float:
+    """Compensated sum of ``weights``; a ValueError unless it and every
+    weight are finite."""
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must all be finite")
+    try:
+        total = math.fsum(weights)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError("the sum of the weights overflows float64")
+    return total
 
 
 def compute_epsilon(weights: Sequence[float], delta: float) -> float:
@@ -109,16 +141,17 @@ def compute_epsilon(weights: Sequence[float], delta: float) -> float:
     Weight sums use compensated summation so long geometric windows do
     not lose precision.  The bound depends only on the normalised
     weights, so scaling every weight by a positive constant leaves it
-    unchanged.
+    unchanged.  Weights must be positive and finite, with a finite sum.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     w = np.asarray(weights, dtype=np.float64)
     if w.size == 0:
         raise ValueError("weight vector must not be empty")
+    total = _weight_sum(w)
     if np.any(w <= 0):
         raise ValueError("weights must all be positive")
-    v = w / math.fsum(w)
+    v = w / total
     return math.sqrt(math.fsum(v * v) / 2.0 * math.log(1.0 / delta))
 
 
@@ -136,6 +169,25 @@ class MDDM(DriftDetector):
     Verdicts before the window first fills are NO_CHANGE, and the
     detector never emits WARNING.  On a drift it resets itself (empty
     window, maximum mean zero) before returning.
+
+    The scan skips the means that cannot change a verdict, by a window
+    certificate that rests on two facts about the computed means:
+
+    * Each ``np.correlate`` output is one inner product of the same
+      ``n`` weights in the same order, whatever the alignment of the
+      window in memory (``weighted_mean`` relies on this too).  Its
+      products are exactly 0 or v_i, and rounding is monotone for sums
+      of nonnegative terms, so no window's computed mean exceeds that of
+      the all-ones window, ``top``.  Once the running maximum is ``top``,
+      no window can raise it.
+    * A window with m ones has a mean of at least the sum S_m of the m
+      smallest v_i.  So once the maximum is ``top``, a window with at
+      least ``_sure_ones`` ones, the fewest m with
+      ``top - S_m + tol < epsilon``, cannot fire.  ``tol`` bounds the
+      rounding: an inner product of ``n`` exact products adds n - 1
+      roundings of at most 2^-53 ``top`` each, the prefix sums S_m as
+      many again, and the final subtraction one more, so
+      ``tol = (n + 1) 2^-52 top`` covers them all.
     """
 
     name = "mddm"
@@ -155,7 +207,13 @@ class MDDM(DriftDetector):
                 raise ValueError(f"expected {self.n} weights, got {weights.shape}")
         self.weights = weights
         self.epsilon = compute_epsilon(weights, self.delta)
-        self._v = weights / math.fsum(weights)
+        self._v = weights / _weight_sum(weights)
+        # The window certificate of _drifts (see the class docstring).
+        self._top = float(np.correlate(np.ones(self.n), self._v)[0])
+        tol = (self.n + 1) * 2.0 ** -52 * self._top
+        lowest = np.concatenate([[0.0], np.cumsum(np.sort(self._v))])
+        sure = self._top - lowest + tol < self.epsilon
+        self._sure_ones = int(np.argmax(sure)) if sure.any() else self.n + 1
         self._win: list[int] = []
         self.mu_max = 0.0
 
@@ -190,48 +248,112 @@ class MDDM(DriftDetector):
         """Indices of the bits among ``bits`` that draw a Drift verdict by
         the rule of the module docstring.
 
-        The held window is prepended to the new bits, so one correlation
-        yields the mean of every full window the bits complete.  The
-        running-maximum scan then jumps over the refill gap after each
-        internal reset, so the cost stays linear no matter how many
-        drifts occur.  With ``first_only`` the scan stops at the first
-        drift, leaving the bits after it unconsumed.
+        The held window is prepended to the new bits, so the windows the
+        bits complete are the length-``n`` slices of one sequence, and a
+        window's mean is its ``np.correlate`` with the normalised
+        weights.  The scan goes block by block, blocks of ``_SCAN_CHUNK``
+        windows doubling up to ``_SCAN_CHUNK_MAX`` and starting over after
+        a drift; each mean is computed at most once, and only where the
+        verdict needs it:
+
+        * While the running maximum is below the all-ones mean ``top``,
+          each block's means are computed and scanned for the running
+          maximum and the first drift, as the rule reads.
+        * Once the maximum is ``top`` it cannot grow, and a window with
+          at least ``_sure_ones`` ones cannot fire (see the class
+          docstring).  Only the windows with fewer ones, found exactly
+          from the positions of the zeros, have their means computed;
+          candidates at most ``_MIN_BLOCK`` windows apart share a block.
+
+        After each internal reset the scan jumps over the refill gap, so
+        the cost stays linear no matter how many drifts occur.  With
+        ``first_only`` the scan stops at the first drift, leaving the bits
+        after it unconsumed.
         """
         held = len(self._win)
         if not isinstance(bits, np.ndarray):
-            bits = np.fromiter(bits, dtype=bool)  # any iterable, read once; truthy = 1
-        seq = np.concatenate([np.asarray(self._win, dtype=np.float64),
-                              np.asarray(bits, dtype=np.float64)])
-        n = self.n
-        # np.correlate swaps its inputs when the first is the shorter one.
-        means = np.correlate(seq, self._v, "valid") if seq.size >= n else seq[:0]
+            bits = np.fromiter(bits, dtype=bool)  # any iterable, read once
+        elif bits.dtype != bool:
+            bits = bits != 0  # truthy = 1
+        flags = np.concatenate([np.asarray(self._win, dtype=bool), bits])
+        seq = flags.astype(np.float64)
+        n, v = self.n, self._v
+        m = seq.size - n + 1  # windows in seq; window j is seq[j:j + n]
         out: list[int] = []
         mu_max = self.mu_max
-        eps = self.epsilon
+        eps, top = self.epsilon, self._top
         k = max(held - n + 1, 0)  # first window that ends in the new bits
         start = 0  # first bit of seq since the last reset
-        chunk = _SCAN_CHUNK
-        while k < means.size:
-            block = means[k:k + chunk]
-            running = np.maximum.accumulate(block)
-            np.maximum(running, mu_max, out=running)
-            hits = running - block >= eps
-            if hits.any():
-                start = k + int(np.argmax(hits)) + n
-                out.append(start - 1 - held)
-                if first_only:
-                    self.reset()
-                    return out
-                mu_max = 0.0
-                k = start
-                chunk = _SCAN_CHUNK
-            else:
-                mu_max = float(running[-1])
-                k += block.size
-                chunk = min(chunk * 2, _SCAN_CHUNK_MAX)
-        self._win = seq[max(start, seq.size - n):].astype(np.int64).tolist()
+        if k < m:
+            runs = None  # (first, end) of the candidate runs, once saturated
+            base, means = 0, seq[:0]  # the last correlation: means of windows base...
+
+            def exact(lo, hi):
+                """Means of windows lo..hi-1, or of a prefix of them already computed."""
+                nonlocal base, means
+                if lo >= base + means.size:
+                    base, means = lo, np.correlate(seq[lo:hi + n - 1], v, "valid")
+                return means[lo - base:hi - base]
+
+            chunk = _SCAN_CHUNK
+            while k < m:
+                if mu_max < top:
+                    block = exact(k, min(k + chunk, m))
+                    end = k + block.size
+                    running = np.maximum.accumulate(block)
+                    np.maximum(running, mu_max, out=running)
+                    hits = running - block >= eps
+                    peak = running[-1]
+                else:
+                    if runs is None:
+                        runs = self._candidate_runs(flags, m)
+                    r = int(np.searchsorted(runs[1], k, side="right"))
+                    if r == runs[1].size:
+                        break  # no window left can fire
+                    lo = max(int(runs[0][r]), k)
+                    end = min(max(int(runs[1][r]), lo + _MIN_BLOCK), lo + chunk, m)
+                    block = exact(lo, end)
+                    end = lo + block.size
+                    # The running maximum is top throughout.
+                    hits = top - block >= eps
+                    peak, k = top, lo
+                if hits.any():
+                    start = k + int(np.argmax(hits)) + n
+                    out.append(start - 1 - held)
+                    if first_only:
+                        self.reset()
+                        return out
+                    mu_max = 0.0
+                    k = start
+                    chunk = _SCAN_CHUNK
+                else:
+                    mu_max = float(peak)
+                    k = end
+                    chunk = min(chunk * 2, _SCAN_CHUNK_MAX)
+        self._win = flags[max(start, seq.size - n):].astype(np.int64).tolist()
         self.mu_max = mu_max
         return out
+
+    def _candidate_runs(self, flags: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Runs of the windows of ``flags`` that can fire once the maximum is
+        ``top``: those with fewer than ``_sure_ones`` ones.  Returns the
+        first window and the end (one past the last) of each run, runs
+        split where more than ``_MIN_BLOCK`` windows lie between them."""
+        n, need = self.n, self.n + 1 - self._sure_ones  # zeros a candidate holds
+        if need <= 0:
+            return np.array([0]), np.array([m])
+        zeros = np.flatnonzero(~flags)
+        # Window j holds the zeros i to i + need - 1 exactly when
+        # zeros[i + need - 1] - n < j <= zeros[i].
+        first = zeros[need - 1:] - (n - 1)
+        last = zeros[:max(zeros.size - need + 1, 0)]
+        hold = first <= last
+        first, last = np.maximum(first[hold], 0), np.minimum(last[hold], m - 1)
+        # first and last both increase with i, so a run ends where the
+        # next window set starts too far after the last one ends.
+        split = np.flatnonzero(first[1:] - last[:-1] > _MIN_BLOCK)
+        return (np.concatenate([first[:1], first[split + 1]]),
+                np.concatenate([last[split], last[-1:]]) + 1)
 
 
 def fhddm(n: int = 25, delta: float = DEFAULT_DELTA) -> MDDM:

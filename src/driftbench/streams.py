@@ -197,6 +197,12 @@ class Stream:
         return self.y.shape[0]
 
 
+# Below x = -746 and above x = 40 the logistic 1 / (1 + e^-x) is exactly 0
+# and exactly 1 in float64 (see _concept_draws).
+_SIGMOID_ZERO = -746.0
+_SIGMOID_ONE = 40.0
+
+
 def _logistic(x):
     """1 / (1 + e^-x); where e^-x overflows to inf the result is 0."""
     with np.errstate(over="ignore"):
@@ -245,12 +251,29 @@ def _concept_draws(n: int, schedule: ConceptSchedule, rng: np.random.Generator) 
     concept begins: the sigmoid midpoint sits half a transition length
     after it, so instances before the position are effectively pure old
     concept and the mix is complete about one transition length later.
+
+    The sigmoid is evaluated only on the span where it can be neither
+    exactly 0 nor exactly 1.  With x = 4 (t - mid) / zeta, e^-x
+    overflows to inf below x = -709.78, so the probability is exactly
+    0 and no draw in [0, 1) falls under it; above x = 53 ln 2 = 36.74,
+    e^-x is below 2^-53, so 1 + e^-x rounds to 1 and every draw falls
+    under it.
+    The span x in [-746, 40] keeps a wide margin on both sides and is
+    clamped to [0, n).  Every drift still takes its full ``rng.random(n)``
+    draw, so the concepts are bit for bit those of a full-length
+    evaluation.
     """
-    t = np.arange(n, dtype=np.float64)
     concept = np.zeros(n, dtype=np.int64)
+    draws = np.empty(n)
+    zeta = schedule.transition
     for pos in schedule.positions:
-        p = _logistic(4.0 * (t - (pos + 0.5 * schedule.transition)) / schedule.transition)
-        concept += rng.random(n) < p
+        mid = pos + 0.5 * zeta
+        rng.random(out=draws)
+        lo = min(max(math.floor(mid + _SIGMOID_ZERO * zeta / 4.0), 0), n)
+        hi = min(max(math.ceil(mid + _SIGMOID_ONE * zeta / 4.0) + 1, lo), n)
+        p = drift_probability(np.arange(lo, hi, dtype=np.float64), mid, zeta)
+        concept[lo:hi] += draws[lo:hi] < p
+        concept[hi:] += 1
     return concept
 
 
@@ -286,7 +309,9 @@ def generate_stream(spec: StreamSpec) -> Stream:
         schema = StreamSchema(("v", "w", "x", "y"),
                               (NOMINAL, NOMINAL, NUMERIC, NUMERIC),
                               (2, 2, 0, 0), 2)
-        X = np.hstack([vw.astype(np.float64), xy])
+        X = np.empty((n, 4))  # filled in place: no float copy of vw
+        X[:, :2] = vw
+        X[:, 2:] = xy
 
     elif family == "circles":
         if schedule.concepts > len(CIRCLES):
@@ -323,9 +348,9 @@ def generate_stream(spec: StreamSpec) -> Stream:
                               (2,) * LED_ATTRIBUTES, 10)
         X = attrs.astype(np.float64)
 
-    return Stream(name=family, X=X, y=y.astype(np.int64), schema=schema,
+    return Stream(name=family, X=X, y=y.astype(np.int64, copy=False), schema=schema,
                   drift_positions=schedule.positions,
-                  concepts=concept, y_clean=y_clean.astype(np.int64))
+                  concepts=concept, y_clean=y_clean.astype(np.int64, copy=False))
 
 
 def load_csv_stream(path) -> Stream:

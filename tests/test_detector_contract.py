@@ -333,7 +333,13 @@ def test_step_verdicts_equal_the_reference(case_id, make, make_ref, length, seed
 @pytest.mark.parametrize("case_id,make,make_ref,length", CASES, ids=[c[0] for c in CASES])
 def test_chunked_scan_equals_the_reference(case_id, make, make_ref, length, seed):
     rng, bits = _case_stream(case_id, seed, length)
-    det, ref = make(), make_ref()
+    assert_chunked_scan_matches(make(), make_ref(), bits, rng)
+
+
+def assert_chunked_scan_matches(det, ref, bits, rng):
+    """Scan ``bits`` in random chunks of 1-5000 and step ``ref`` over the
+    bits each scan consumed: drift indices, state and warning agree after
+    every chunk."""
     verdicts = []
     got = []
     start = 0
@@ -368,6 +374,132 @@ def test_the_fuzz_draws_alarms_and_warnings():
         assert _DRIFT in verdicts, case_id
         if case_id.startswith(("ddm", "eddm", "rddm")) and not case_id.endswith("-1"):
             assert _WARNING in verdicts, case_id
+
+
+# --- MDDM's window certificate ---------------------------------------------
+#
+# Once the running maximum is the all-ones mean, MDDM computes means only
+# for windows with fewer than ``_sure_ones`` ones.  These inputs sit on
+# the edges of that rule; each goes through the chunked gate above and
+# through drift_points, against the per-bit reference.
+
+def _sparse_errors(det, rng):
+    """One error every n + 1 to 2n bits: saturated, and no window is a
+    candidate."""
+    gaps = rng.integers(det.n + 1, 2 * det.n + 1, size=200)
+    bits = np.ones(int(gaps.sum()), dtype=np.int64)
+    bits[np.cumsum(gaps) - 1] = 0
+    return bits
+
+
+def _clusters(zeros_below_quorum):
+    """All-ones stretches broken by clusters of n + 1 - k zeros, k the
+    certificate's quorum, less ``zeros_below_quorum``."""
+    def bits(det, rng):
+        zeros = det.n + 1 - det._sure_ones - zeros_below_quorum
+        parts = []
+        for _ in range(40):
+            parts += [np.ones(det.n + int(rng.integers(0, 3 * det.n)), dtype=np.int64),
+                      np.zeros(zeros, dtype=np.int64)]
+        return np.concatenate(parts)
+    return bits
+
+
+def _piecewise(det, rng):
+    return piecewise_bernoulli(rng, 6_000)
+
+
+CERTIFICATE_CASES = [
+    ("sparse-a", lambda: MDDM(Arithmetic()), _sparse_errors),
+    ("sparse-fhddm", lambda: fhddm(100), _sparse_errors),
+    *[(f"cluster-{label}-{below}", make, _clusters(below))
+      for label, make in [("a", lambda: MDDM(Arithmetic())), ("g", lambda: MDDM(Geometric())),
+                          ("fhddm", lambda: fhddm()), ("a-100", lambda: MDDM(Arithmetic(), 100))]
+      for below in (0, 1)],
+    # v_0 is below half an ulp of the all-ones mean, so a window whose
+    # oldest bit is 0 has that mean too.
+    ("g-huge-ratio", lambda: MDDM(Geometric(1e3), n=10, delta=1e-3), _piecewise),
+    ("explicit-weights",
+     lambda: MDDM(n=20, delta=1e-2, weights=np.random.default_rng(8).random(20) + 0.05),
+     _piecewise),
+    ("n-1", lambda: MDDM(n=1, delta=0.3), _piecewise),
+    ("delta-near-1", lambda: MDDM(Arithmetic(), delta=1 - 1e-12), _piecewise),
+]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("case_id,make,make_bits", CERTIFICATE_CASES,
+                         ids=[c[0] for c in CERTIFICATE_CASES])
+def test_mddm_certificate_edges_equal_the_reference(case_id, make, make_bits, seed):
+    rng = np.random.default_rng([seed, sum(map(ord, case_id))])
+    bits = make_bits(make(), rng)
+    assert_chunked_scan_matches(make(), RefMddm(make()), bits, rng)
+    det, ref = make(), RefMddm(make())
+    want = [i for i, b in enumerate(bits.tolist()) if ref.step(b) is _DRIFT]
+    assert det.drift_points(bits) == want
+    assert state(det) == state(ref)
+
+
+def test_mddm_certificate_edges_across_small_blocks(monkeypatch):
+    """Blocks of a few windows put block edges inside candidate runs,
+    refill gaps and the switch to the saturated scan."""
+    from driftbench.detectors import mddm
+    monkeypatch.setattr(mddm, "_SCAN_CHUNK", 3)
+    monkeypatch.setattr(mddm, "_MIN_BLOCK", 2)
+    for case_id, make, make_bits in CERTIFICATE_CASES:
+        rng = np.random.default_rng(sum(map(ord, case_id)))
+        bits = make_bits(make(), rng)
+        assert_chunked_scan_matches(make(), RefMddm(make()), bits, rng)
+        det, ref = make(), RefMddm(make())
+        want = [i for i, b in enumerate(bits.tolist()) if ref.step(b) is _DRIFT]
+        assert det.drift_points(bits) == want, case_id
+        assert state(det) == state(ref), case_id
+
+
+def test_mddm_small_blocks_equal_default_blocks(monkeypatch):
+    """Random weighted windows scanned in blocks of a few windows give what
+    the default blocks give.  After a drift a block can start inside
+    means the block before it computed; it must then advance by the
+    means it got, not by the ones it asked for."""
+    from driftbench.detectors import mddm
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(2000):
+        params = dict(scheme=Arithmetic(float(rng.choice([0.5, 2.0, 10.0, 100.0]))),
+                      n=int(rng.integers(2, 12)), delta=float(rng.choice([0.5, 0.2, 0.05, 1e-3])))
+        bits = (rng.random(400) < np.repeat(rng.random(8), 50)).astype(np.int64)
+        det = MDDM(**params)
+        cases.append((params, bits, det.drift_points(bits), state(det)))
+    monkeypatch.setattr(mddm, "_SCAN_CHUNK", 3)
+    monkeypatch.setattr(mddm, "_MIN_BLOCK", 2)
+    for params, bits, want, want_state in cases:
+        det = MDDM(**params)
+        assert det.drift_points(bits) == want, params
+        assert state(det) == want_state, params
+
+
+def test_mddm_certificate_cases_reach_their_edges():
+    """The certificate cases test what their names say: the maximum
+    saturates, a cluster of n + 1 - k zeros fires and one of n - k never
+    does, and the special weight vectors have the stated quorum."""
+    rng = np.random.default_rng(0)
+    for case_id, make, make_bits in CERTIFICATE_CASES:
+        det, ref = make(), RefMddm(make())
+        bits = make_bits(det, rng)
+        alarms = [i for i, b in enumerate(bits.tolist()) if ref.step(b) is _DRIFT]
+        if case_id.startswith("sparse"):
+            ones = np.convolve(bits, np.ones(det.n, dtype=np.int64), "valid")
+            assert ones.min() >= det._sure_ones and not alarms, case_id
+            det.drift_points(bits)
+            assert det.mu_max == det._top, case_id
+        if case_id.startswith("cluster"):
+            # Every cluster ends at an alarm, or none does.
+            zero_ends = np.flatnonzero(np.diff(np.r_[bits, 1]) == 1).tolist()
+            assert alarms == (zero_ends if case_id.endswith("-0") else []), case_id
+    huge = MDDM(Geometric(1e3), n=10, delta=1e-3)
+    assert np.correlate(np.r_[0.0, np.ones(9)], huge._v)[0] == huge._top
+    assert MDDM(n=1, delta=0.3)._sure_ones == 1
+    assert MDDM(Arithmetic(), delta=1 - 1e-12)._sure_ones == 25
 
 
 @pytest.mark.parametrize("make,make_ref", [

@@ -431,6 +431,21 @@ class TestOutOfDomainValues:
         err = capsys.readouterr().err
         assert "internal error" not in err and detector in err
 
+    @pytest.mark.parametrize("detector,setting,window,name", [
+        ("mddm_g", "r=10", 400, "geometric weight ratio"),
+        ("mddm_a", "d=1e306", 400, "arithmetic weight step"),
+        ("mddm_e", "lambda=1000", 25, "euler weight rate")])
+    def test_overflowing_weights_are_usage_errors(self, detector, setting, window, name,
+                                                  capsys):
+        # r=10 over 400 entries made epsilon NaN, so the detector never
+        # fired and the run exited 0; lambda=1000 was an internal error.
+        code = main(["--stream", "sine1", "--detector", detector, "--runs", "1",
+                     "--window-size", str(window), "--set", "length=5000",
+                     "--set", setting])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and name in err and "overflows" in err
+
     def test_bad_set_value_fails_only_its_cell(self):
         base = ExperimentConfig(stream="sine1", runs=1, seed=3,
                                 params=dict(FAST, **{"lambda": -1.0}))

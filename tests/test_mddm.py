@@ -1,6 +1,7 @@
 """Weighted-window detector: weights, bound, verdict semantics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,36 @@ class TestBuildWeights:
     def test_bad_window_size(self):
         with pytest.raises(ValueError):
             build_weights(Uniform(), 0)
+
+
+class TestNonFiniteWeights:
+    """Weights or a weight sum that overflow used to give epsilon = NaN
+    (a detector that never fires) or a bare OverflowError."""
+
+    @pytest.mark.parametrize("weights", [[1.0, math.nan], [1.0, math.inf], [1e308, 1e308]])
+    def test_explicit_weights(self, weights):
+        with pytest.raises(ValueError, match="weights"):
+            MDDM(n=2, weights=weights)
+        with pytest.raises(ValueError, match="weights"):
+            compute_epsilon(weights, 1e-6)
+
+    @pytest.mark.parametrize("scheme,n,name", [
+        (Geometric(10.0), 400, "geometric weight ratio r=10.0"),
+        (Arithmetic(1e306), 400, "arithmetic weight step d=1e+306"),
+        (Arithmetic(1e305), 400, "arithmetic weight step d=1e+305"),  # finite weights, sum overflows
+        (Euler(1000.0), 25, "euler weight rate 1000.0"),
+        (Euler(10.0), 400, "euler weight rate 10.0"),
+    ])
+    def test_overflowing_scheme_names_its_parameter(self, scheme, n, name):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} overflows"):
+            build_weights(scheme, n)
+        with pytest.raises(ValueError, match=re.escape(name)):
+            MDDM(scheme, n=n)
+
+    def test_large_finite_weights_stay_valid(self):
+        # d=1e300 at n=400 has weights up to 4e302 and a sum of 8e304.
+        det = MDDM(Arithmetic(1e300), n=400)
+        assert math.isfinite(det.epsilon) and det._sure_ones <= det.n
 
 
 class TestComputeEpsilon:
@@ -349,6 +380,63 @@ class TestOracleEquivalence:
         det = MDDM(scheme, n=n, delta=delta)
         weights = list(build_weights(scheme, n))
         assert step_verdicts(det, bits) == oracle_verdicts(bits, weights, delta)
+
+
+class TestWindowCertificate:
+    """The two facts the scan's window certificate rests on (see the MDDM
+    docstring), on every scheme."""
+
+    SCHEMES = [Uniform(), Arithmetic(0.01), Arithmetic(3.0), Geometric(1.01), Geometric(1e3),
+               Euler(0.2)]
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=repr)
+    @pytest.mark.parametrize("n", [1, 2, 25, 100])
+    def test_all_ones_mean_is_top_at_every_offset(self, scheme, n):
+        det = MDDM(scheme, n=n)
+        ones = np.ones(3_000 + n)
+        for offset in range(8):
+            assert np.all(np.correlate(ones[offset:], det._v, "valid") == det._top)
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=repr)
+    @pytest.mark.parametrize("n", [2, 25, 100])
+    def test_no_window_mean_exceeds_top(self, scheme, n):
+        det = MDDM(scheme, n=n)
+        rng = np.random.default_rng(n)
+        bits = (rng.random(3_000 + n) < rng.random()).astype(np.float64)
+        means = np.correlate(bits, det._v, "valid")
+        assert means.max() <= det._top
+        # And one window at a time, at random offsets of its own array.
+        for _ in range(200):
+            offset = int(rng.integers(0, 8))
+            window = np.r_[np.zeros(offset), rng.random(n) < 0.9]
+            assert np.correlate(window[offset:], det._v)[0] <= det._top
+
+    @pytest.mark.parametrize("n,delta", [(1, 0.3), (2, 0.1), (25, 1e-6), (25, 0.5),
+                                         (100, 1e-6), (25, 1 - 1e-12)])
+    def test_candidate_runs_cover_every_candidate(self, n, delta):
+        from driftbench.detectors.mddm import _MIN_BLOCK
+        det = MDDM(Arithmetic(), n=n, delta=delta)
+        rng = np.random.default_rng(n)
+        for p in (0.0, 0.3, 0.6, 0.9, 0.99, 1.0):
+            flags = rng.random(int(rng.integers(n, 3_000))) < p
+            m = flags.size - n + 1
+            ones = np.convolve(flags.astype(np.int64), np.ones(n, dtype=np.int64), "valid")
+            cand = np.flatnonzero(ones < det._sure_ones)
+            first, end = det._candidate_runs(flags, m)
+            inside = np.zeros(m, dtype=bool)
+            for a, b in zip(first.tolist(), end.tolist()):
+                assert ones[a] < det._sure_ones and ones[b - 1] < det._sure_ones
+                inside[a:b] = True
+            assert inside[cand].all()
+            assert np.all(first[1:] - end[:-1] >= _MIN_BLOCK)
+
+    def test_quorum_is_the_fewest_ones_that_cannot_fire(self):
+        for scheme in self.SCHEMES:
+            det = MDDM(scheme, n=25, delta=1e-3)
+            k = det._sure_ones
+            lowest = np.r_[0.0, np.cumsum(np.sort(det._v))]
+            assert det._top - lowest[k] < det.epsilon
+            assert k == 0 or det._top - lowest[k - 1] >= det.epsilon - 1e-12
 
 
 class TestInvariantTracking:

@@ -26,6 +26,7 @@ from driftbench.streams import (
     MAX_CARDINALITY,
     NOMINAL,
     NUMERIC,
+    _concept_draws,
 )
 
 
@@ -48,6 +49,48 @@ class TestDriftProbability:
     def test_domain(self):
         with pytest.raises(UsageError):
             drift_probability(0, 0, 0)
+
+
+class TestConceptDraws:
+    """The sigmoid is evaluated only where it is neither exactly 0 nor
+    exactly 1; the concepts must equal a full-length evaluation."""
+
+    @staticmethod
+    def full_length(n, schedule, rng):
+        t = np.arange(n, dtype=np.float64)
+        concept = np.zeros(n, dtype=np.int64)
+        for pos in schedule.positions:
+            p = drift_probability(t, pos + 0.5 * schedule.transition, schedule.transition)
+            concept += rng.random(n) < p
+        return concept
+
+    @pytest.mark.parametrize("zeta", [1, 7, 50, 500, 5000])
+    @pytest.mark.parametrize("n,positions", [
+        (20_000, (0, 3, 600, 10_000, 19_400, 19_990, 19_999)),  # spans clamp at 0 and n
+        (1, (0,)),
+        (5_000, (2_500,)),
+    ])
+    def test_equals_a_full_length_evaluation(self, zeta, n, positions):
+        schedule = ConceptSchedule(positions, zeta)
+        for seed in (0, 1):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _concept_draws(n, schedule, got_rng)
+            want = self.full_length(n, schedule, want_rng)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            # Every draw is still taken, so later draws are unchanged.
+            assert got_rng.random() == want_rng.random()
+
+    def test_the_skipped_tails_are_exact(self):
+        # x = 4 t / zeta is -746 and 40 at the span's ends.
+        for zeta in (1, 7, 50, 500, 5000):
+            assert drift_probability(-186.5 * zeta, 0.0, zeta) == 0.0
+            assert drift_probability(10.0 * zeta, 0.0, zeta) == 1.0
+        # The margins, with zeta = 4 so that x = t: e^-x overflows from
+        # x = -709.79, and 1 + e^-x rounds to 1 from x = 36.8.
+        assert drift_probability(-709.8, 0.0, 4) == 0.0
+        assert drift_probability(-709.7, 0.0, 4) > 0.0
+        assert drift_probability(36.8, 0.0, 4) == 1.0
+        assert drift_probability(36.0, 0.0, 4) < 1.0
 
 
 class TestLabelFunctions:
