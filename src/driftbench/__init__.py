@@ -35,14 +35,11 @@ from .streams import (
     Stream,
     StreamSchema,
     StreamSpec,
-    circles_label,
     default_schedule,
     drift_probability,
     dump_stream,
     generate_stream,
     load_csv_stream,
-    mixed_label,
-    sine1_label,
 )
 
 __version__ = "0.1.0"
@@ -54,8 +51,8 @@ __all__ = [
     "MDDM", "NaiveBayes", "NotTrainedError", "PageHinkley", "RDDM",
     "RunRecord", "Stream", "StreamSchema", "StreamSpec", "Uniform",
     "UsageError", "Verdict", "WeightScheme", "aggregate", "build_weights",
-    "circles_label", "compute_epsilon", "default_schedule",
-    "drift_probability", "dump_stream", "fhddm", "generate_stream",
-    "load_csv_stream", "mixed_label", "prequential_run", "prequential_runs",
-    "run_experiment", "run_matrix", "score_run", "sine1_label",
+    "compute_epsilon", "default_schedule", "drift_probability",
+    "dump_stream", "fhddm", "generate_stream", "load_csv_stream",
+    "prequential_run", "prequential_runs", "run_experiment", "run_matrix",
+    "score_run",
 ]

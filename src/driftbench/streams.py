@@ -22,10 +22,26 @@ PRNG is NumPy's 64-bit-seeded PCG64, whose output is stable across
 platforms, and every random draw happens in a fixed documented order
 (attributes, then one concept draw per drift position, then the noise
 mask, then noise values).
+
+Each returned array is allocated once and filled in place, and every
+other array is scratch of ``_PIECE`` rows.  The pieces of a draw take
+exactly the words one full-length call would, so a stream does not
+depend on the piece size:
+
+* ``rng.random`` turns each 64-bit word into one double, so a draw split
+  into pieces takes the same words in the same order, and skipping k
+  doubles is ``PCG64.advance(k)``.
+* ``rng.integers`` with a range below 2^32 takes one 32-bit half word per
+  value (one more after a rare Lemire rejection) from the bit generator,
+  which keeps the unused half of a word between calls.  So a split at any
+  point, after an odd count or a rejection too, takes the same halves in
+  the same order.  ``advance`` drops that kept half, and ``_skip`` puts
+  it back.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import re
@@ -44,7 +60,12 @@ DEFAULT_LENGTH = 100_000
 # Longest stream a StreamSpec accepts, 1000x the paper's streams.  Every
 # instance is a float64 row held in memory, so a longer stream is refused
 # as a usage error before anything is built rather than failing to allocate.
+# Generation holds only the arrays it returns (X, y, concepts) plus scratch
+# of _PIECE rows, so a stream that fits in memory can be generated.
 MAX_LENGTH = 100_000_000
+# Rows per piece of scratch while a stream is generated or a CSV file is
+# converted to arrays.
+_PIECE = 4096
 # Largest k a CSV header's "name:nominal:<k>" mark may declare.  Naive Bayes
 # sizes its per-class arrays by the label's k and keeps a (classes, k)
 # count table per nominal attribute before any row is read, so a larger
@@ -182,7 +203,6 @@ class Stream:
     ``X`` stores every attribute as float64 (nominal attributes hold
     integer codes).  ``drift_positions`` and ``concepts`` are harness
     ground truth; CSV streams have no such truth and leave them empty.
-    ``y_clean`` holds the pre-noise labels of synthetic streams.
     """
 
     name: str
@@ -191,7 +211,6 @@ class Stream:
     schema: StreamSchema
     drift_positions: tuple[int, ...] = ()
     concepts: Optional[np.ndarray] = None
-    y_clean: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.y.shape[0]
@@ -223,25 +242,24 @@ def drift_probability(t, t0, zeta: int):
     return float(out) if out.ndim == 0 else out
 
 
-def sine1_label(x: float, y: float, concept: int) -> int:
-    """1 when (x, y) lies strictly under sin(x); flipped on odd concepts."""
-    under = y < math.sin(x)
-    return int(under ^ (concept % 2 == 1))
+def _pieces(start: int, stop: int):
+    """Bounds ``(a, b)`` of consecutive pieces of :data:`_PIECE` rows
+    covering ``[start, stop)``."""
+    return ((a, min(a + _PIECE, stop)) for a in range(start, stop, _PIECE))
 
 
-def mixed_label(v: int, w: int, x: float, y: float, concept: int) -> int:
-    """1 when at least two of {v, w, y < 0.5 + 0.3 sin(3 pi x)} hold;
-    flipped on odd concepts."""
-    conditions = int(bool(v)) + int(bool(w)) + int(y < 0.5 + 0.3 * math.sin(3.0 * math.pi * x))
-    return int((conditions >= 2) ^ (concept % 2 == 1))
+def _skip(rng: np.random.Generator, draws: int) -> None:
+    """Move ``rng`` past ``draws`` doubles, as ``rng.random(draws)`` would.
 
-
-def circles_label(x: float, y: float, concept: int) -> int:
-    """1 when (x, y) lies inside concept's circle, boundary included."""
-    if not 0 <= concept < len(CIRCLES):
-        raise UsageError(f"circles supports concepts 0..3, got {concept}")
-    (cx, cy), r = CIRCLES[concept]
-    return int((x - cx) ** 2 + (y - cy) ** 2 <= r * r)
+    ``PCG64.advance`` also drops the half word the bit generator holds
+    for its next 32-bit draw, which ``rng.random`` leaves in place; it is
+    put back, so later bounded-integer draws are unchanged.
+    """
+    bitgen = rng.bit_generator
+    held = bitgen.state
+    bitgen.advance(draws)
+    bitgen.state = {**bitgen.state, "has_uint32": held["has_uint32"],
+                    "uinteger": held["uinteger"]}
 
 
 def _concept_draws(n: int, schedule: ConceptSchedule, rng: np.random.Generator) -> np.ndarray:
@@ -259,98 +277,118 @@ def _concept_draws(n: int, schedule: ConceptSchedule, rng: np.random.Generator) 
     e^-x is below 2^-53, so 1 + e^-x rounds to 1 and every draw falls
     under it.
     The span x in [-746, 40] keeps a wide margin on both sides and is
-    clamped to [0, n).  Every drift still takes its full ``rng.random(n)``
-    draw, so the concepts are bit for bit those of a full-length
+    clamped to [0, n).  Every drift still takes its full n draws: those
+    on the span one piece at a time, those outside it skipped by
+    :func:`_skip`, so the concepts are bit for bit those of a full-length
     evaluation.
     """
     concept = np.zeros(n, dtype=np.int64)
-    draws = np.empty(n)
     zeta = schedule.transition
     for pos in schedule.positions:
         mid = pos + 0.5 * zeta
-        rng.random(out=draws)
         lo = min(max(math.floor(mid + _SIGMOID_ZERO * zeta / 4.0), 0), n)
         hi = min(max(math.ceil(mid + _SIGMOID_ONE * zeta / 4.0) + 1, lo), n)
-        p = drift_probability(np.arange(lo, hi, dtype=np.float64), mid, zeta)
-        concept[lo:hi] += draws[lo:hi] < p
+        _skip(rng, lo)
+        for a, b in _pieces(lo, hi):
+            p = drift_probability(np.arange(a, b, dtype=np.float64), mid, zeta)
+            concept[a:b] += rng.random(b - a) < p
         concept[hi:] += 1
+        _skip(rng, n - hi)
     return concept
 
 
-def _binary_noise(y: np.ndarray, noise: float, rng: np.random.Generator) -> np.ndarray:
-    flip = rng.random(y.shape[0]) < noise
-    return np.where(flip, 1 - y, y)
+def _binary_noise(y: np.ndarray, noise: float, rng: np.random.Generator) -> None:
+    """Flip each 0/1 label with probability ``noise``, in place."""
+    for a, b in _pieces(0, y.shape[0]):
+        y[a:b] ^= rng.random(b - a) < noise
 
 
 def generate_stream(spec: StreamSpec) -> Stream:
-    """Materialise the synthetic stream described by ``spec``."""
+    """Materialise the synthetic stream described by ``spec``.
+
+    Each returned array is allocated once and filled in place; every
+    other array is scratch of at most :data:`_PIECE` rows.
+    """
     schedule = spec.resolved_schedule()
     rng = np.random.default_rng(spec.seed)
     n = spec.length
     family = spec.family
 
     if family == "sine1":
-        xy = rng.random((n, 2))
+        y = np.empty(n, dtype=np.int64)
+        X = rng.random((n, 2))
         concept = _concept_draws(n, schedule, rng)
-        base = (xy[:, 1] < np.sin(xy[:, 0])).astype(np.int64)
-        y_clean = base ^ (concept % 2)
-        y = _binary_noise(y_clean, spec.noise, rng)
+        for a, b in _pieces(0, n):
+            xy = X[a:b]
+            y[a:b] = (xy[:, 1] < np.sin(xy[:, 0])) ^ (concept[a:b] % 2)
+        _binary_noise(y, spec.noise, rng)
         schema = StreamSchema(("x", "y"), (NUMERIC, NUMERIC), (0, 0), 2)
-        X = xy
 
     elif family == "mixed":
-        vw = rng.integers(0, 2, size=(n, 2))
-        xy = rng.random((n, 2))
+        y = np.empty(n, dtype=np.int64)
+        X = np.empty((n, 4))
+        for a, b in _pieces(0, n):
+            X[a:b, :2] = rng.integers(0, 2, size=(b - a, 2))
+        for a, b in _pieces(0, n):
+            X[a:b, 2:] = rng.random((b - a, 2))
         concept = _concept_draws(n, schedule, rng)
-        third = xy[:, 1] < 0.5 + 0.3 * np.sin(3.0 * np.pi * xy[:, 0])
-        base = ((vw[:, 0] + vw[:, 1] + third) >= 2).astype(np.int64)
-        y_clean = base ^ (concept % 2)
-        y = _binary_noise(y_clean, spec.noise, rng)
+        for a, b in _pieces(0, n):
+            vwxy = X[a:b]
+            third = vwxy[:, 3] < 0.5 + 0.3 * np.sin(3.0 * np.pi * vwxy[:, 2])
+            y[a:b] = ((vwxy[:, 0] + vwxy[:, 1] + third) >= 2) ^ (concept[a:b] % 2)
+        _binary_noise(y, spec.noise, rng)
         schema = StreamSchema(("v", "w", "x", "y"),
                               (NOMINAL, NOMINAL, NUMERIC, NUMERIC),
                               (2, 2, 0, 0), 2)
-        X = np.empty((n, 4))  # filled in place: no float copy of vw
-        X[:, :2] = vw
-        X[:, 2:] = xy
 
     elif family == "circles":
         if schedule.concepts > len(CIRCLES):
             raise UsageError(
                 f"circles supports at most {len(CIRCLES) - 1} drifts, "
                 f"schedule has {len(schedule.positions)}")
-        xy = rng.random((n, 2))
+        y = np.empty(n, dtype=np.int64)
+        X = rng.random((n, 2))
         concept = _concept_draws(n, schedule, rng)
-        params = np.array([(cx, cy, r) for (cx, cy), r in CIRCLES])
-        cx, cy, r = (params[concept, j] for j in range(3))
-        y_clean = (((xy[:, 0] - cx) ** 2 + (xy[:, 1] - cy) ** 2) <= r * r).astype(np.int64)
-        y = _binary_noise(y_clean, spec.noise, rng)
+        cx, cy, r = np.array([(cx, cy, r) for (cx, cy), r in CIRCLES]).T
+        for a, b in _pieces(0, n):
+            xy, c = X[a:b], concept[a:b]
+            y[a:b] = ((xy[:, 0] - cx[c]) ** 2 + (xy[:, 1] - cy[c]) ** 2) <= r[c] * r[c]
+        _binary_noise(y, spec.noise, rng)
         schema = StreamSchema(("x", "y"), (NUMERIC, NUMERIC), (0, 0), 2)
-        X = xy
 
     else:  # led
         if schedule.concepts > len(LED_DEFAULT_LAYOUT):
             raise UsageError(
                 f"led layout defines {len(LED_DEFAULT_LAYOUT)} concepts, schedule needs "
                 f"{schedule.concepts}")
-        digits = rng.integers(0, 10, size=n)
-        attrs = rng.integers(0, 2, size=(n, LED_ATTRIBUTES))
+        y = rng.integers(0, 10, size=n)  # the digits; the noise comes last
+        X = np.empty((n, LED_ATTRIBUTES))
+        for a, b in _pieces(0, n):
+            X[a:b] = rng.integers(0, 2, size=(b - a, LED_ATTRIBUTES))
         concept = _concept_draws(n, schedule, rng)
-        for c in range(schedule.concepts):
-            rows = np.nonzero(concept == c)[0]
-            if rows.size:
-                attrs[np.ix_(rows, list(LED_DEFAULT_LAYOUT[c]))] = LED_SEGMENTS[digits[rows]]
-        y_clean = digits.astype(np.int64)
-        flip = rng.random(n) < spec.noise
-        offsets = rng.integers(1, 10, size=n)
-        y = np.where(flip, (y_clean + offsets) % 10, y_clean)
+        for a, b in _pieces(0, n):
+            attrs, segments, c = X[a:b], LED_SEGMENTS[y[a:b]], concept[a:b]
+            for k in range(schedule.concepts):
+                rows = np.flatnonzero(c == k)
+                cols = LED_DEFAULT_LAYOUT[k]
+                if rows.size == c.size:  # most pieces hold one concept
+                    attrs[:, cols] = segments
+                elif rows.size:
+                    attrs[rows[:, None], cols] = segments[rows]
+        # All n flip draws come before the n offsets: a second generator
+        # starts where the offsets do, so both are drawn piece by piece.
+        offsets_rng = copy.deepcopy(rng)
+        _skip(offsets_rng, n)
+        for a, b in _pieces(0, n):
+            flip = rng.random(b - a) < spec.noise
+            digits = y[a:b]
+            digits[flip] = (digits[flip] + offsets_rng.integers(1, 10, size=b - a)[flip]) % 10
         schema = StreamSchema(tuple(f"a{j + 1}" for j in range(LED_ATTRIBUTES)),
                               (NOMINAL,) * LED_ATTRIBUTES,
                               (2,) * LED_ATTRIBUTES, 10)
-        X = attrs.astype(np.float64)
 
-    return Stream(name=family, X=X, y=y.astype(np.int64, copy=False), schema=schema,
-                  drift_positions=schedule.positions,
-                  concepts=concept, y_clean=y_clean.astype(np.int64, copy=False))
+    return Stream(name=family, X=X, y=y, schema=schema,
+                  drift_positions=schedule.positions, concepts=concept)
 
 
 def load_csv_stream(path) -> Stream:
@@ -403,7 +441,10 @@ def load_csv_stream(path) -> Stream:
         kinds = label_is_code = None
         codes = [{} for _ in marked]   # nominal value -> code, per attribute
         label_codes: dict[str, int] = {}
-        rows, labels = [], []
+        # Parsed rows become float64 every _PIECE rows.  Labels stay one
+        # list until the code check below, which may refuse codes too large
+        # for int64; a small int costs a list 8 bytes, as in an int64 array.
+        pieces, rows, labels = [], [], []
         top_code = top_line = -1   # the largest label code and its first line
         for line, row in enumerate(reader, start=2):
             if not row:
@@ -439,6 +480,10 @@ def load_csv_stream(path) -> Stream:
             else:
                 labels.append(label_codes.setdefault(raw_label, len(label_codes)))
             rows.append(attrs)
+            if len(rows) == _PIECE:
+                pieces.append(np.array(rows, dtype=np.float64))
+                rows = []
+    pieces.append(np.array(rows, dtype=np.float64).reshape(-1, len(marked)))
     if top_code > len(labels):
         # Each class code sizes the learner's per-class arrays.
         raise DataFormatError(
@@ -450,7 +495,7 @@ def load_csv_stream(path) -> Stream:
                   for kind, card, values in zip(kinds, marked, codes))
     n_classes = max(max(labels, default=-1) + 1, label_mark)
     return Stream(name=path.stem,
-                  X=np.array(rows, dtype=np.float64).reshape(-1, len(marked)),
+                  X=np.concatenate(pieces),
                   y=np.array(labels, dtype=np.int64),
                   schema=StreamSchema(tuple(header[:-1]), tuple(kinds), cards, n_classes))
 

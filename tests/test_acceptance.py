@@ -33,6 +33,7 @@ from driftbench import (
     generate_stream,
     prequential_run,
     run_experiment,
+    run_matrix,
 )
 from driftbench.experiments import ExperimentConfig, write_run_csv
 
@@ -206,11 +207,15 @@ class TestCriterion6DirectionOfEffect:
                  "page_hinkley", "ddm", "eddm", "rddm", "adwin")
 
     def test_circles_gradual_orderings(self):
-        rows = {}
-        for name in self.DETECTORS:
-            result = run_experiment(ExperimentConfig(
-                stream="circles", detector=name, runs=100, seed=1))
-            rows[name] = result.aggregate
+        # One matrix call generates each circles stream once for all ten
+        # cells.  Its CSVs equal those of the one-cell-at-a-time loop
+        # (TestStreamMajor.test_csv_bytes_equal_the_cell_by_cell_loop in
+        # tests/test_experiments_cli.py), of which run_experiment runs one cell.
+        matrix = run_matrix(["circles"], list(self.DETECTORS),
+                            ExperimentConfig(stream="circles", runs=100, seed=1))
+        assert not matrix.errors
+        rows = {row.detector: row for row in matrix.aggregates}
+        assert list(rows) == list(self.DETECTORS)
         mddm_delays = {k: rows[k].delay_mean for k in ("mddm_a", "mddm_g", "mddm_e")}
         slower = min(rows["cusum"].delay_mean, rows["page_hinkley"].delay_mean)
         delays_ok = all(d < slower for d in mddm_delays.values())

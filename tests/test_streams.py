@@ -1,6 +1,7 @@
 """Stream generators: label functions, transitions, noise, CSV round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,23 +12,93 @@ from driftbench import (
     NaiveBayes,
     StreamSpec,
     UsageError,
-    circles_label,
     drift_probability,
     dump_stream,
     generate_stream,
     load_csv_stream,
-    mixed_label,
     prequential_run,
-    sine1_label,
 )
+from driftbench import streams
 from driftbench.streams import (
+    CIRCLES,
+    LED_ATTRIBUTES,
     LED_DEFAULT_LAYOUT,
     LED_SEGMENTS,
     MAX_CARDINALITY,
     NOMINAL,
     NUMERIC,
     _concept_draws,
+    _skip,
 )
+
+FAMILIES = ("sine1", "mixed", "circles", "led")
+
+
+# Scalar references for the label rules that generate_stream vectorises.
+
+def sine1_label(x: float, y: float, concept: int) -> int:
+    """1 when (x, y) lies strictly under sin(x); flipped on odd concepts."""
+    under = y < math.sin(x)
+    return int(under ^ (concept % 2 == 1))
+
+
+def mixed_label(v: int, w: int, x: float, y: float, concept: int) -> int:
+    """1 when at least two of {v, w, y < 0.5 + 0.3 sin(3 pi x)} hold;
+    flipped on odd concepts."""
+    conditions = int(bool(v)) + int(bool(w)) + int(y < 0.5 + 0.3 * math.sin(3.0 * math.pi * x))
+    return int((conditions >= 2) ^ (concept % 2 == 1))
+
+
+def circles_label(x: float, y: float, concept: int) -> int:
+    """1 when (x, y) lies inside concept's circle, boundary included."""
+    if not 0 <= concept < len(CIRCLES):
+        raise UsageError(f"circles supports concepts 0..3, got {concept}")
+    (cx, cy), r = CIRCLES[concept]
+    return int((x - cx) ** 2 + (y - cy) ** 2 <= r * r)
+
+
+SCALAR_RULES = {
+    "sine1": lambda row, c: sine1_label(row[0], row[1], c),
+    "mixed": lambda row, c: mixed_label(int(row[0]), int(row[1]), row[2], row[3], c),
+    "circles": lambda row, c: circles_label(row[0], row[1], c),
+}
+
+
+def full_length_concepts(n, schedule, rng):
+    t = np.arange(n, dtype=np.float64)
+    concept = np.zeros(n, dtype=np.int64)
+    for pos in schedule.positions:
+        p = drift_probability(t, pos + 0.5 * schedule.transition, schedule.transition)
+        concept += rng.random(n) < p
+    return concept
+
+
+def full_length_stream(spec):
+    """X, y and concepts from the documented draws taken as whole arrays,
+    with the binary families' labels from the scalar rules."""
+    schedule = spec.resolved_schedule()
+    rng = np.random.default_rng(spec.seed)
+    n = spec.length
+    if spec.family == "led":
+        digits = rng.integers(0, 10, size=n)
+        X = rng.integers(0, 2, size=(n, LED_ATTRIBUTES))
+    elif spec.family == "mixed":
+        vw = rng.integers(0, 2, size=(n, 2))
+        X = np.hstack([vw, rng.random((n, 2))])
+    else:
+        X = rng.random((n, 2))
+    concepts = full_length_concepts(n, schedule, rng)
+    if spec.family == "led":
+        for c in range(schedule.concepts):
+            rows = np.nonzero(concepts == c)[0]
+            X[np.ix_(rows, LED_DEFAULT_LAYOUT[c])] = LED_SEGMENTS[digits[rows]]
+        flip = rng.random(n) < spec.noise
+        y = np.where(flip, (digits + rng.integers(1, 10, size=n)) % 10, digits)
+        return X.astype(np.float64), y, concepts
+    rule = SCALAR_RULES[spec.family]
+    clean = np.array([rule(row, c) for row, c in zip(X, concepts)], dtype=np.int64)
+    flip = rng.random(n) < spec.noise
+    return X, np.where(flip, 1 - clean, clean), concepts
 
 
 class TestDriftProbability:
@@ -55,15 +126,6 @@ class TestConceptDraws:
     """The sigmoid is evaluated only where it is neither exactly 0 nor
     exactly 1; the concepts must equal a full-length evaluation."""
 
-    @staticmethod
-    def full_length(n, schedule, rng):
-        t = np.arange(n, dtype=np.float64)
-        concept = np.zeros(n, dtype=np.int64)
-        for pos in schedule.positions:
-            p = drift_probability(t, pos + 0.5 * schedule.transition, schedule.transition)
-            concept += rng.random(n) < p
-        return concept
-
     @pytest.mark.parametrize("zeta", [1, 7, 50, 500, 5000])
     @pytest.mark.parametrize("n,positions", [
         (20_000, (0, 3, 600, 10_000, 19_400, 19_990, 19_999)),  # spans clamp at 0 and n
@@ -75,7 +137,7 @@ class TestConceptDraws:
         for seed in (0, 1):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = _concept_draws(n, schedule, got_rng)
-            want = self.full_length(n, schedule, want_rng)
+            want = full_length_concepts(n, schedule, want_rng)
             assert got.dtype == want.dtype and np.array_equal(got, want)
             # Every draw is still taken, so later draws are unchanged.
             assert got_rng.random() == want_rng.random()
@@ -165,18 +227,54 @@ class TestGenerateStream:
         b = generate_stream(StreamSpec("sine1", length=2_000, seed=2))
         assert not np.array_equal(a.X, b.X)
 
-    @pytest.mark.parametrize("family,label_fn", [
-        ("sine1", lambda row, c: sine1_label(row[0], row[1], c)),
-        ("mixed", lambda row, c: mixed_label(int(row[0]), int(row[1]), row[2], row[3], c)),
-        ("circles", lambda row, c: circles_label(row[0], row[1], c)),
-    ])
+    @pytest.mark.parametrize("family,label_fn", list(SCALAR_RULES.items()))
     def test_noiseless_labels_match_concept_function(self, family, label_fn):
-        spec = StreamSpec(family, length=10_000, noise=0.0,
-                          schedule=ConceptSchedule((5_000,), 50), seed=11)
+        # Every instance of a stream over three pieces, with a drift inside
+        # the transition of another, so all four concepts occur.
+        spec = StreamSpec(family, length=2 * streams._PIECE + 1_001, noise=0.0,
+                          schedule=ConceptSchedule((3_000, 3_100, 7_000), 200), seed=11)
         stream = generate_stream(spec)
-        for t in range(0, len(stream), 7):
-            concept = int(stream.concepts[t])
-            assert stream.y[t] == label_fn(stream.X[t], concept)
+        assert set(stream.concepts.tolist()) == {0, 1, 2, 3}
+        want = [label_fn(row, c) for row, c in zip(stream.X, stream.concepts.tolist())]
+        assert stream.y.tolist() == want
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_equals_the_whole_array_draws(self, family):
+        # Odd lengths on both sides of the piece size, and transitions
+        # clamped at both ends of the stream.
+        for n, zeta in ((streams._PIECE - 1, 50), (2 * streams._PIECE + 3, 5_000)):
+            spec = StreamSpec(family, length=n, noise=0.2, seed=21,
+                              schedule=ConceptSchedule((5, n // 2, n - 3), zeta))
+            stream = generate_stream(spec)
+            X, y, concepts = full_length_stream(spec)
+            assert stream.X.dtype == np.float64 and np.array_equal(stream.X, X)
+            assert stream.y.dtype == np.int64 and np.array_equal(stream.y, y)
+            assert np.array_equal(stream.concepts, concepts)
+
+    @pytest.mark.parametrize("piece", [1, 3, 7])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_small_pieces_equal_default_pieces(self, monkeypatch, family, piece):
+        cases = [(n, ConceptSchedule(tuple(p for p in sorted({n // 3, n // 2 + 1})
+                                            if 0 < p < n), zeta))
+                 for n in (1, 2, 5, 1_001) for zeta in (1, 50, 5_000)]
+        want = [generate_stream(StreamSpec(family, length=n, schedule=s, seed=n))
+                for n, s in cases]
+        monkeypatch.setattr(streams, "_PIECE", piece)
+        for (n, schedule), expected in zip(cases, want):
+            got = generate_stream(StreamSpec(family, length=n, schedule=schedule, seed=n))
+            for name in ("X", "y", "concepts"):
+                a, b = getattr(got, name), getattr(expected, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (n, schedule, name)
+
+    def test_skip_keeps_the_half_word_of_integer_draws(self):
+        # Three values leave half a word for the next integer draw.
+        drawn, skipped = np.random.default_rng(8), np.random.default_rng(8)
+        for rng in (drawn, skipped):
+            rng.integers(0, 10, size=3)
+        drawn.random(1_000)
+        _skip(skipped, 1_000)
+        assert np.array_equal(drawn.integers(0, 10, size=5), skipped.integers(0, 10, size=5))
+        assert drawn.random() == skipped.random()
 
     def test_noiseless_led_labels_match_segments(self):
         spec = StreamSpec("led", length=8_000, noise=0.0,
@@ -196,20 +294,27 @@ class TestGenerateStream:
         assert np.all(stream.concepts[:19_400] == 0)
         assert np.all(stream.concepts[21_000:] == 1)
 
+    # The noise draws come last, so the same seed at noise 0 gives the
+    # clean labels of the noisy stream.
+
     def test_noise_flip_fraction(self):
         stream = generate_stream(StreamSpec("sine1", length=100_000, noise=0.10, seed=5))
-        flipped = (stream.y != stream.y_clean).mean()
+        clean = generate_stream(StreamSpec("sine1", length=100_000, noise=0.0, seed=5))
+        assert np.array_equal(stream.X, clean.X)
+        flipped = (stream.y != clean.y).mean()
         assert 0.094 <= flipped <= 0.106
 
     def test_led_noise_flips_to_different_digit(self):
         stream = generate_stream(StreamSpec("led", length=50_000, noise=0.10, seed=5))
-        changed = stream.y != stream.y_clean
+        clean = generate_stream(StreamSpec("led", length=50_000, noise=0.0, seed=5))
+        assert np.array_equal(stream.X, clean.X)
+        changed = stream.y != clean.y
         assert 0.09 <= changed.mean() <= 0.11
-        assert np.all(stream.y[changed] != stream.y_clean[changed])
+        assert np.all(stream.y[changed] != clean.y[changed])
 
     def test_led_digit_distribution_uniform(self):
         stream = generate_stream(StreamSpec("led", length=100_000, noise=0.0, seed=9))
-        counts = np.bincount(stream.y_clean, minlength=10)
+        counts = np.bincount(stream.y, minlength=10)
         assert counts.min() > 9_400 and counts.max() < 10_600
 
     def test_schedule_validation(self):
@@ -238,6 +343,48 @@ class TestGenerateStream:
         assert sine.drift_positions == (20_000, 40_000, 60_000, 80_000)
         led = generate_stream(StreamSpec("led", seed=0, length=100_000))
         assert led.drift_positions == (25_000, 50_000, 75_000)
+
+
+def traced_peak(build):
+    """``build()`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFootprint:
+    # Scratch beyond the returned arrays: led's piece of attribute draws
+    # is 4096 x 24 int64 values, 0.75 MiB.
+    ALLOWANCE = 1 << 20
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_generation_holds_its_outputs_and_piece_scratch(self, family):
+        generate_stream(StreamSpec(family, length=100, seed=4))  # first-call caches
+        overheads = []
+        for n in (30_001, 300_001):
+            spec = StreamSpec(family, length=n, seed=4,
+                              schedule=ConceptSchedule((n // 3, 2 * n // 3), 500))
+            stream, peak = traced_peak(lambda: generate_stream(spec))
+            overheads.append(peak - stream.X.nbytes - stream.y.nbytes - stream.concepts.nbytes)
+        assert max(overheads) < self.ALLOWANCE
+        # A full-length temporary would grow with n, even a boolean mask
+        # (270 kB more at the longer length).
+        assert overheads[1] - overheads[0] < 64 << 10
+
+    def test_csv_load_converts_rows_piece_by_piece(self, tmp_path):
+        path, small = tmp_path / "mixed.csv", tmp_path / "small.csv"
+        dump_stream(StreamSpec("mixed", length=20_001, seed=2), path)
+        dump_stream(StreamSpec("mixed", length=50, seed=2), small)
+        load_csv_stream(small)
+        stream, peak = traced_peak(lambda: load_csv_stream(path))
+        returned = stream.X.nbytes + stream.y.nbytes
+        # The float64 pieces and their concatenation, the label list and
+        # its array, and one piece of parsed rows.  Rows held as Python
+        # lists to the end would cost 5.4x the returned bytes here.
+        assert peak < 2 * returned + self.ALLOWANCE
 
 
 class TestCsvRoundTrip:
