@@ -29,7 +29,7 @@ from .detectors import (
 from .errors import DataFormatError, UsageError
 from .evaluation import AggregateRow, DriftScore, aggregate, score_run
 from .experiments import ExperimentConfig, ExperimentResult, MatrixReport, run_experiment, run_matrix
-from .learners import NaiveBayes, NotTrainedError, RunRecord, prequential_run, prequential_runs
+from .learners import NaiveBayes, RunRecord, prequential_run, prequential_runs
 from .streams import (
     ConceptSchedule,
     Stream,
@@ -48,7 +48,7 @@ __all__ = [
     "ADWIN", "AggregateRow", "Arithmetic", "ConceptSchedule", "CUSUM",
     "DataFormatError", "DDM", "DriftDetector", "DriftScore", "EDDM", "Euler",
     "ExperimentConfig", "ExperimentResult", "Geometric", "MatrixReport",
-    "MDDM", "NaiveBayes", "NotTrainedError", "PageHinkley", "RDDM",
+    "MDDM", "NaiveBayes", "PageHinkley", "RDDM",
     "RunRecord", "Stream", "StreamSchema", "StreamSpec", "Uniform",
     "UsageError", "Verdict", "WeightScheme", "aggregate", "build_weights",
     "compute_epsilon", "default_schedule", "drift_probability",

@@ -7,18 +7,27 @@ drift positions, so their rows carry only alarms and accuracy.  Cells
 of a matrix fail independently: one failing cell does not stop the
 others.
 
-Execution is stream-major: for each stream, every cell's detector is
-built first, then each run seed's stream is generated once (a CSV stream
-is loaded once) and run through every cell of that stream before the
-next seed's stream is made.  Output order stays cell-major (cells in the
-given order, runs by index), and every run sees the same stream, a fresh
-learner and a reset detector, exactly as a cell run alone would, so
-identical configurations produce byte-identical CSV output.
+Execution is stream-major and seed-parallel, in three phases.  First
+the parent builds every stream's cells: each cell's configuration and
+detector, and the stream's recipe (a CSV stream is loaded once).  Then
+each (stream, run seed) is one task, which generates that seed's stream
+and runs it through every live cell of the stream with one
+``prequential_runs`` call.  When there is more than one task, the tasks
+run in ``min(available cores, tasks)`` processes forked for the call,
+which inherit the built cells and take one task at a time, so each
+process holds one stream at a time; a single task, one available core
+or a platform without ``fork`` runs the tasks in-process.  Last, the
+parent puts the runs back in (stream, run) order, scores and aggregates
+them.  Output order stays cell-major (cells in the given order, runs by
+index), and every run sees the same stream, a fresh learner and a reset
+detector, exactly as a cell run alone would, so identical
+configurations produce byte-identical CSV output on any number of cores.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -29,7 +38,7 @@ from .detectors.mddm import DEFAULT_DELTA
 from .errors import DataFormatError, UsageError, as_int
 from .evaluation import AggregateRow, DriftScore, aggregate, score_run, unscored_row
 from .learners import prequential_runs
-from .streams import (DEFAULT_LENGTH, DEFAULT_NOISE, StreamSpec, default_schedule,
+from .streams import (DEFAULT_LENGTH, DEFAULT_NOISE, Stream, StreamSpec, default_schedule,
                       generate_stream, load_csv_stream)
 
 SYNTHETIC_FAMILIES = ("sine1", "mixed", "circles", "led")
@@ -182,13 +191,25 @@ def _build_detector(config: ExperimentConfig, window: int):
         raise UsageError(str(exc)) from exc
 
 
+def _window(config: ExperimentConfig, length: int) -> int:
+    """The cell's window; a windowed detector's must fit in the stream,
+    or it could never fill and the detector never fire."""
+    window = (WINDOW_DEFAULTS[_stream_family(config)] if config.window_size is None
+              else config.window_size)
+    if config.detector in WINDOWED and window > length:
+        raise UsageError(f"window size {window} is longer than the stream "
+                         f"({length} instances), so {config.detector} could never fire")
+    return window
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute one cell: R runs, scoring, aggregation, optional CSV output.
 
-    This is the one-cell case of :func:`run_matrix`'s loop; the cell's
-    error, if any, is raised.
+    This is the one-cell case of :func:`run_matrix`; the cell's error, if
+    any, is raised.
     """
-    cell, = _run_stream(config.stream, [config.detector], lambda detector: config)
+    cell, = _run_plans([_plan_stream(config.stream, [config.detector],
+                                     lambda detector: config)])
     if cell.error is not None:
         raise cell.error
     if config.out:
@@ -226,58 +247,172 @@ class MatrixReport:
 CELL_ERRORS = (UsageError, DataFormatError, OSError)
 
 
-def _run_stream(stream: str, detectors: list[str],
-                config_of: Callable[..., ExperimentConfig]) -> list[CellResult]:
-    """Run one stream's cells, ``config_of(detector=name)`` each, stream-major.
+@dataclass
+class _StreamPlan:
+    """One stream's cells, built by the parent before any run.
 
-    The cells differ only in their detector.  Every cell's configuration
-    and detector are built first, so a bad parameter fails its own cell
-    before any run.  Then each run seed's stream is generated once (a CSV
-    stream is loaded once) and run through every live cell by one
-    ``prequential_runs`` call, so only one stream is held at a time and
-    cells share the learner work of equal reset histories.
+    ``cells`` holds, per name in ``detectors``, the cell's ``(config,
+    detector)`` or the error that failed it.  The runs read ``first``, the
+    first valid configuration, and either ``spec``, the stream of run 0
+    (run i takes seed + i), or ``csv_stream``, loaded once.
     """
-    cells: list = []  # per detector: (config, detector, runs), or its error
+
+    stream: str
+    detectors: list[str]
+    cells: list
+    first: Optional[ExperimentConfig] = None
+    spec: Optional[StreamSpec] = None
+    csv_stream: Optional[Stream] = None
+
+    @property
+    def live(self) -> list:
+        return [cell for cell in self.cells if not isinstance(cell, Exception)]
+
+
+def _plan_stream(stream: str, detectors: list[str],
+                 config_of: Callable[..., ExperimentConfig]) -> _StreamPlan:
+    """Build one stream's cells, ``config_of(detector=name)`` each.
+
+    The cells differ only in their detector, so the stream's recipe comes
+    from the first valid configuration, and a recipe or CSV file that
+    fails fails every cell.  Then each cell's detector is built: a bad
+    parameter fails its own cell before any run, and so does a window
+    longer than the stream, refused before any weights are built.
+    """
+    cells: list = []
     for name in detectors:
         try:
-            config = config_of(detector=name)
-            window = (WINDOW_DEFAULTS[_stream_family(config)] if config.window_size is None
-                      else config.window_size)
-            cells.append((config, _build_detector(config, window), []))
+            cells.append(config_of(detector=name))
         except CELL_ERRORS as exc:
             cells.append(exc)
-    live = [cell for cell in cells if not isinstance(cell, Exception)]
-    if live:
-        first = live[0][0]
-        live_detectors = [detector for _, detector, _ in live]
-        family = _stream_family(first)
-        accept_delay = (ACCEPT_DELAY_DEFAULTS.get(family) if first.accept_delay is None
-                        else first.accept_delay)
-        try:
-            csv_stream = load_csv_stream(first.stream) if first.is_csv else None
-            for run_index in range(first.runs):
-                seed = first.seed + run_index
-                data = (csv_stream if csv_stream is not None
-                        else generate_stream(_build_stream_spec(first, seed)))
-                for detector in live_detectors:
-                    if detector is not None:
-                        detector.reset()
-                records = prequential_runs(data, live_detectors, policy=first.policy)
-                for (config, _, runs), record in zip(live, records):
-                    score = None if csv_stream is not None else score_run(
-                        record.alarms, data.drift_positions, accept_delay, len(data),
-                        record.accuracy)
-                    runs.append(RunResult(config.stream, config.detector, seed, run_index,
-                                          record.alarms, record.accuracy, score))
-        except CELL_ERRORS as exc:
-            # Loading, generating and the policy are common to the cells.
-            cells = [cell if isinstance(cell, Exception) else exc for cell in cells]
-    return [CellResult(stream, name, None, cell) if isinstance(cell, Exception)
-            else CellResult(stream, name, _cell_result(cell[0], cell[2]), None)
-            for name, cell in zip(detectors, cells)]
+    configs = [cell for cell in cells if not isinstance(cell, Exception)]
+    if not configs:
+        return _StreamPlan(stream, detectors, cells)
+    first = configs[0]
+    spec = csv_stream = None
+    try:
+        if first.is_csv:
+            csv_stream = load_csv_stream(first.stream)
+        else:
+            spec = _build_stream_spec(first, first.seed)
+    except CELL_ERRORS as exc:
+        return _StreamPlan(stream, detectors,
+                           [cell if isinstance(cell, Exception) else exc for cell in cells])
+    length = len(csv_stream) if csv_stream is not None else spec.length
+    for k, cell in enumerate(cells):
+        if not isinstance(cell, Exception):
+            try:
+                cells[k] = (cell, _build_detector(cell, _window(cell, length)))
+            except CELL_ERRORS as exc:
+                cells[k] = exc
+    return _StreamPlan(stream, detectors, cells, first, spec, csv_stream)
 
 
-def _cell_result(config: ExperimentConfig, runs: list[RunResult]) -> ExperimentResult:
+def _run_seed(plan: _StreamPlan, run: int):
+    """Run ``run`` of every live cell of ``plan``: one stream, one
+    ``prequential_runs`` call.  Returns each live cell's ``(alarms,
+    accuracy)`` with the stream's drift positions and length, or the cell
+    error that stopped the run."""
+    detectors = [detector for _, detector in plan.live]
+    try:
+        data = (plan.csv_stream if plan.csv_stream is not None
+                else generate_stream(replace(plan.spec, seed=plan.first.seed + run)))
+        for detector in detectors:
+            if detector is not None:
+                detector.reset()
+        records = prequential_runs(data, detectors, policy=plan.first.policy)
+    except CELL_ERRORS as exc:
+        return exc
+    return [(r.alarms, r.accuracy) for r in records], data.drift_positions, len(data)
+
+
+# The plans of the call that forked this process, filled in by the pool's
+# initializer; the parent's list stays empty.
+_worker_plans: list[_StreamPlan] = []
+
+
+def _run_in_worker(task: tuple[int, int]):
+    plan, run = task
+    return _run_seed(_worker_plans[plan], run)
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on this platform
+        return os.cpu_count() or 1
+
+
+def _run_tasks(plans: list[_StreamPlan], tasks: list[tuple[int, int]]) -> list:
+    """Each ``(plan index, run)`` task's outcome, in task order.
+
+    With more than one task and core, the tasks run in ``min(cores,
+    tasks)`` processes forked for the call, one task at a time.  Fork
+    lets them inherit the built plans and the imported package, which a
+    fresh interpreter would rebuild; a task sends back only its outcome.
+    Otherwise, and where fork is missing, the tasks run in this process.
+    The workers are joined before this returns, also when a task raises
+    or a worker dies.
+    """
+    processes = min(_cores(), len(tasks))
+    if processes > 1:
+        # Imported here: a call of one task needs no pool, and a cold
+        # import of multiprocessing costs about 20 ms.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(processes, multiprocessing.get_context("fork"),
+                                       _worker_plans.extend, (plans,))
+            try:
+                return list(pool.map(_run_in_worker, tasks))
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [_run_seed(plans[plan], run) for plan, run in tasks]
+
+
+def _run_plans(plans: list[_StreamPlan]) -> list[CellResult]:
+    """Every plan's cells, in order: one task per (stream, run), the
+    results gathered back in (stream, run) order."""
+    tasks = [(p, run) for p, plan in enumerate(plans) if plan.live
+             for run in range(plan.first.runs)]
+    outcomes = _run_tasks(plans, tasks)
+    cells, done = [], 0
+    for plan in plans:
+        runs = plan.first.runs if plan.live else 0
+        cells += _collect(plan, outcomes[done:done + runs])
+        done += runs
+    return cells
+
+
+def _collect(plan: _StreamPlan, outcomes: list) -> list[CellResult]:
+    """The plan's cells from its runs' outcomes, in run order.  A cell
+    error in any run fails every live cell with the error of the lowest
+    run index, as a loop over the runs that stopped there would."""
+    failed = next((o for o in outcomes if isinstance(o, Exception)), None)
+    cells, k = [], 0
+    for name, cell in zip(plan.detectors, plan.cells):
+        if isinstance(cell, Exception) or failed is not None:
+            error = cell if isinstance(cell, Exception) else failed
+            cells.append(CellResult(plan.stream, name, None, error))
+        else:
+            cells.append(CellResult(plan.stream, name, _cell_result(cell[0], outcomes, k), None))
+            k += 1
+    return cells
+
+
+def _cell_result(config: ExperimentConfig, outcomes: list, k: int) -> ExperimentResult:
+    """Live cell ``k``'s runs, scored, and their aggregate."""
+    family = _stream_family(config)
+    accept_delay = (ACCEPT_DELAY_DEFAULTS.get(family) if config.accept_delay is None
+                    else config.accept_delay)
+    runs = []
+    for run, (records, drift_positions, length) in enumerate(outcomes):
+        alarms, accuracy = records[k]
+        score = None if config.is_csv else score_run(
+            alarms, drift_positions, accept_delay, length, accuracy)
+        runs.append(RunResult(config.stream, config.detector, config.seed + run, run,
+                              alarms, accuracy, score))
     alarm_counts = [len(r.alarms) for r in runs]
     if config.is_csv:
         agg = unscored_row(config.stream, config.detector,
@@ -291,13 +426,11 @@ def _cell_result(config: ExperimentConfig, runs: list[RunResult]) -> ExperimentR
 def run_matrix(streams: list[str], detectors: list[str],
                base: ExperimentConfig, out: Optional[str] = None) -> MatrixReport:
     """Run every (stream, detector) cell; cell failures are isolated."""
-    cells = []
-    for stream in streams:
-        cells += _run_stream(stream, detectors,
-                             partial(replace, base, stream=stream, out=None))
-    report = MatrixReport(cells)
+    report = MatrixReport(_run_plans([
+        _plan_stream(stream, detectors, partial(replace, base, stream=stream, out=None))
+        for stream in streams]))
     if out:
-        write_run_csv(out, [run for c in cells if c.result is not None
+        write_run_csv(out, [run for c in report.cells if c.result is not None
                             for run in c.result.runs])
         write_aggregate_csv(_aggregate_path(out), report.aggregates)
     return report

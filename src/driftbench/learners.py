@@ -62,10 +62,6 @@ _FIRST_BLOCK = 64  # shortest block after a detector-driven reset
 _TABLE_CELLS = 1 << 17
 
 
-class NotTrainedError(RuntimeError):
-    """Raised when predicting before any training instance was seen."""
-
-
 class NaiveBayes:
     """Incremental Naive Bayes over a fixed attribute schema."""
 
@@ -114,31 +110,6 @@ class NaiveBayes:
                     f"attribute {j} value {v} outside its cardinality {card}")
             self.nom_counts[slot][label, v] += 1.0
 
-    def class_scores(self, attributes) -> np.ndarray:
-        """Unnormalised log-posterior per class (-inf for unseen classes)."""
-        if self.total == 0:
-            raise NotTrainedError("model has not seen any training instance")
-        cc = self.class_counts
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scores = np.log(cc / self.total)
-            safe = np.where(cc > 0, cc, 1.0)
-            for slot, j in enumerate(self._numeric):
-                x = float(attributes[j])
-                mean = self.num_sums[:, slot] / safe
-                var = self.num_sumsqs[:, slot] / safe - mean * mean
-                var = np.maximum(var, VARIANCE_FLOOR)
-                d = x - mean
-                scores += -0.5 * np.log(_TWO_PI * var) - d * d / (2.0 * var)
-            for slot, (j, card) in enumerate(self._nominal):
-                v = int(attributes[j])
-                counts = self.nom_counts[slot][:, v] if 0 <= v < card else np.zeros_like(cc)
-                scores += np.log((counts + 1.0) / (cc + card))
-        return np.where(cc > 0, scores, -np.inf)
-
-    def predict(self, attributes) -> int:
-        """Most probable class for the attribute vector."""
-        return int(np.argmax(self.class_scores(attributes)))
-
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -163,7 +134,9 @@ def _block_bits(model: NaiveBayes, X: np.ndarray, y: np.ndarray):
     """Prediction-correctness bits for a block, plus end-of-block stats.
 
     Reproduces, per instance, exactly what predict-then-train would
-    compute (see ``_nominal_scores`` for the nominal attributes).
+    compute (see ``_nominal_scores`` for the nominal attributes);
+    ``tests/test_learners.py`` keeps the per-instance predictor as the
+    reference it is compared against.
     """
     B = y.shape[0]
     m = model.n_classes

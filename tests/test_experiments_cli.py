@@ -2,10 +2,12 @@
 
 import copy
 import csv
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,8 +15,8 @@ import numpy as np
 import pytest
 
 from driftbench import (ADWIN, CUSUM, DDM, EDDM, MDDM, RDDM, Arithmetic, ConceptSchedule,
-                        Euler, ExperimentConfig, Geometric, PageHinkley, StreamSpec, UsageError,
-                        dump_stream, fhddm, run_experiment, run_matrix)
+                        DataFormatError, Euler, ExperimentConfig, Geometric, PageHinkley,
+                        StreamSpec, UsageError, dump_stream, fhddm, run_experiment, run_matrix)
 from driftbench import (NaiveBayes, aggregate, experiments, generate_stream, prequential_run,
                         score_run)
 from driftbench.cli import main
@@ -178,12 +180,23 @@ class TestStreamMajor:
         monkeypatch.setattr(experiments, name, spy)
         return calls
 
-    def test_each_stream_and_seed_is_generated_once(self, monkeypatch):
-        calls = self.spy(monkeypatch, "generate_stream")
+    def test_each_stream_and_seed_is_generated_once(self, monkeypatch, tmp_path):
+        # The seeds may run in forked workers, which inherit the spy but not
+        # a list in this process: each call appends a line to a file.
+        log = tmp_path / "calls.txt"
+        real = experiments.generate_stream
+
+        def spy(spec):
+            with open(log, "a") as handle:
+                handle.write(f"{spec.family} {spec.seed}\n")
+            return real(spec)
+
+        monkeypatch.setattr(experiments, "generate_stream", spy)
         report = run_matrix(["sine1", "circles"], ["mddm_a", "none", "adwin"], self.BASE)
         assert not report.errors
-        assert [(spec.family, spec.seed) for spec in calls] == [
-            (family, seed) for family in ("sine1", "circles") for seed in (40, 41, 42)]
+        calls = [(family, int(seed)) for family, seed in map(str.split, log.read_text().splitlines())]
+        assert sorted(calls) == sorted(
+            (family, seed) for family in ("sine1", "circles") for seed in (40, 41, 42))
 
     def test_csv_bytes_equal_the_cell_by_cell_loop(self, tmp_path):
         detectors = ["mddm_a", "bogus", "none", "adwin", "cusum"]
@@ -220,14 +233,112 @@ class TestStreamMajor:
         assert all(isinstance(c.error, UsageError) for c in report.errors)
         assert [row.stream for row in report.aggregates] == ["sine1", "sine1"]
 
-    def test_import_leaves_scipy_out(self):
+    @staticmethod
+    def imports(module):
+        """Whether a fresh ``import driftbench.experiments`` imports ``module``."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        child = "import sys, driftbench.experiments; print('scipy' in sys.modules)"
+        child = f"import sys, driftbench.experiments; print({module!r} in sys.modules)"
         done = subprocess.run([sys.executable, "-c", child], env=env,
                               capture_output=True, text=True, timeout=60)
-        assert done.stdout.strip() == "False", done.stderr
+        assert done.stdout.strip() in ("True", "False"), done.stderr
+        return done.stdout.strip() == "True"
+
+    def test_import_leaves_scipy_out(self):
+        assert not self.imports("scipy")
+
+    def test_import_leaves_multiprocessing_out(self):
+        # A matrix of one task never needs a pool, and a cold import of
+        # multiprocessing costs about 20 ms of every interpreter's set-up.
+        assert not self.imports("multiprocessing")
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool forks its workers")
+class TestSeedParallel:
+    """Matrices of several (stream, seed) tasks run them in forked workers;
+    two cores are assumed, so the pool runs on any machine."""
+
+    BASE = TestStreamMajor.BASE
+    DETECTORS = ["mddm_a", "none", "cusum"]
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_cores", lambda: 2)
+
+    @staticmethod
+    def failing(monkeypatch, error, seeds, slow=()):
+        """Make generation raise ``error`` for the sine1 ``seeds``, after
+        half a second for those in ``slow``."""
+        real = experiments.generate_stream
+
+        def generate(spec):
+            if spec.family == "sine1" and spec.seed in seeds:
+                if spec.seed in slow:
+                    time.sleep(0.5)
+                raise error(f"cannot make sine1 seed {spec.seed}")
+            return real(spec)
+
+        monkeypatch.setattr(experiments, "generate_stream", generate)
+
+    @staticmethod
+    def summary(report):
+        return [(c.stream, c.detector, type(c.error), str(c.error),
+                 c.result and c.result.aggregate) for c in report.cells]
+
+    def test_a_failing_seed_fails_its_stream_as_in_serial(self, monkeypatch):
+        # Run 2 fails first in time, run 0 last; run 0's error is reported,
+        # as the serial loop, which stops at run 0, reports it.
+        self.failing(monkeypatch, DataFormatError, {40, 42}, slow={40})
+        report = run_matrix(["sine1", "circles"], self.DETECTORS, self.BASE)
+        assert [(c.stream, str(c.error)) for c in report.errors] == [
+            ("sine1", "cannot make sine1 seed 40")] * 3
+        assert all(isinstance(c.error, DataFormatError) for c in report.errors)
+        assert [(row.stream, row.detector) for row in report.aggregates] == [
+            ("circles", name) for name in self.DETECTORS]
+        monkeypatch.setattr(experiments, "_cores", lambda: 1)
+        assert self.summary(run_matrix(["sine1", "circles"], self.DETECTORS,
+                                       self.BASE)) == self.summary(report)
+
+    def test_other_errors_propagate_and_leave_no_process(self, monkeypatch):
+        self.failing(monkeypatch, RuntimeError, {42})
+        with pytest.raises(RuntimeError, match="sine1 seed 42"):
+            run_matrix(["sine1", "circles"], self.DETECTORS, self.BASE)
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_fails_the_call(self, monkeypatch):
+        real = experiments.generate_stream
+        parent = os.getpid()
+
+        def generate(spec):
+            if spec.seed == 41 and os.getpid() != parent:
+                os._exit(1)
+            return real(spec)
+
+        monkeypatch.setattr(experiments, "generate_stream", generate)
+        with pytest.raises(BrokenProcessPool):
+            run_matrix(["sine1", "circles"], self.DETECTORS, self.BASE)
+        assert multiprocessing.active_children() == []
+
+    def test_no_process_outlives_the_call(self):
+        report = run_matrix(["sine1", "circles"], self.DETECTORS, self.BASE)
+        assert not report.errors
+        assert multiprocessing.active_children() == []
+
+    def test_every_task_runs_in_a_worker(self, monkeypatch, tmp_path):
+        log = tmp_path / "pids.txt"
+        real = experiments.generate_stream
+
+        def generate(spec):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return real(spec)
+
+        monkeypatch.setattr(experiments, "generate_stream", generate)
+        run_matrix(["sine1", "circles"], self.DETECTORS, self.BASE)
+        pids = set(log.read_text().split())
+        assert str(os.getpid()) not in pids and 1 <= len(pids) <= 2
 
 
 class TestCli:
@@ -445,6 +556,30 @@ class TestOutOfDomainValues:
         assert code == 2
         err = capsys.readouterr().err
         assert "internal error" not in err and name in err and "overflows" in err
+
+    @pytest.mark.parametrize("detector", sorted(experiments.WINDOWED))
+    def test_window_longer_than_the_stream_is_usage_error(self, detector, capsys):
+        # The window can never fill; mddm_a at 1e11 used to build its
+        # weights first and exit 4 with a MemoryError.
+        code = main(["--stream", "sine1", "--detector", detector, "--runs", "1",
+                     "--window-size", "100000000000", "--set", "length=2000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert "window size 100000000000" in err and "(2000 instances)" in err
+        assert main(["--stream", "sine1", "--detector", detector, "--runs", "1",
+                     "--window-size", "2000", "--set", "length=2000"]) == 0
+
+    def test_window_longer_than_a_csv_stream_fails_its_cell(self, tmp_path):
+        path = tmp_path / "short.csv"
+        dump_stream(StreamSpec("mixed", length=40, seed=3), path)
+        base = ExperimentConfig(stream=str(path), runs=1)
+        report = run_matrix([str(path)], ["mddm_a", "cusum", "none"],
+                            replace(base, window_size=41))
+        assert [c.detector for c in report.errors] == ["mddm_a"]
+        assert isinstance(report.errors[0].error, UsageError)
+        assert "(40 instances)" in str(report.errors[0].error)
+        assert not run_matrix([str(path)], ["mddm_a"], replace(base, window_size=40)).errors
 
     def test_bad_set_value_fails_only_its_cell(self):
         base = ExperimentConfig(stream="sine1", runs=1, seed=3,
