@@ -25,8 +25,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 
-# Longest slice drift_points hands to one scan; prequential_run's blocks
-# are no longer.
+# The one block size of the scan path: the longest slice drift_points
+# hands to one scan, the longest prequential block, and the most windows
+# one MDDM block evaluates.
 _SCAN_SLICE = 4096
 
 

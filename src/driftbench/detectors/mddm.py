@@ -24,17 +24,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ..errors import as_int
-from .base import DriftDetector
+from .base import _SCAN_SLICE, DriftDetector
 
 DEFAULT_DELTA = 1e-6
 DEFAULT_ARITHMETIC_STEP = 0.01
 DEFAULT_GEOMETRIC_RATIO = 1.01
 DEFAULT_EULER_RATE = 0.01
 
-# Chunk sizes for the vectorised scan; grown geometrically so short
-# inter-drift gaps stay cheap while long stable stretches amortise.
-_SCAN_CHUNK = 8192
-_SCAN_CHUNK_MAX = 262144
 # Fewest windows a block of the saturated scan evaluates, unless the bits
 # end first; candidate windows at most this many apart share one block.
 # A block's fixed cost (a correlation call and the loop around it, about
@@ -170,8 +166,10 @@ class MDDM(DriftDetector):
     detector never emits WARNING.  On a drift it resets itself (empty
     window, maximum mean zero) before returning.
 
-    The scan skips the means that cannot change a verdict, by a window
-    certificate that rests on two facts about the computed means:
+    ``scan`` computes means in blocks of at most ``_SCAN_SLICE`` windows,
+    so a scan of one slice is one block, and skips the means that cannot
+    change a verdict, by a window certificate that rests on two facts
+    about the computed means:
 
     * Each ``np.correlate`` output is one inner product of the same
       ``n`` weights in the same order, whatever the alignment of the
@@ -208,7 +206,7 @@ class MDDM(DriftDetector):
         self.weights = weights
         self.epsilon = compute_epsilon(weights, self.delta)
         self._v = weights / _weight_sum(weights)
-        # The window certificate of _drifts (see the class docstring).
+        # The window certificate of scan (see the class docstring).
         self._top = float(np.correlate(np.ones(self.n), self._v)[0])
         tol = (self.n + 1) * 2.0 ** -52 * self._top
         lowest = np.concatenate([[0.0], np.cumsum(np.sort(self._v))])
@@ -235,40 +233,26 @@ class MDDM(DriftDetector):
         # exactly the mean it last tested.
         return float(np.correlate(arr, self._v)[0])
 
-    def drift_points(self, bits) -> list[int]:
-        """One-pass vectorised :meth:`DriftDetector.drift_points`."""
-        return self._drifts(bits, first_only=False)
-
     def scan(self, bits) -> Optional[int]:
-        """Vectorised :meth:`DriftDetector.scan`."""
-        hits = self._drifts(bits, first_only=True)
-        return hits[0] if hits else None
-
-    def _drifts(self, bits, first_only: bool) -> list[int]:
-        """Indices of the bits among ``bits`` that draw a Drift verdict by
-        the rule of the module docstring.
+        """:meth:`DriftDetector.scan` by the rule of the module docstring.
 
         The held window is prepended to the new bits, so the windows the
         bits complete are the length-``n`` slices of one sequence, and a
         window's mean is its ``np.correlate`` with the normalised
-        weights.  The scan goes block by block, blocks of ``_SCAN_CHUNK``
-        windows doubling up to ``_SCAN_CHUNK_MAX`` and starting over after
-        a drift; each mean is computed at most once, and only where the
-        verdict needs it:
+        weights.  The scan goes block by block, each block at most
+        ``_SCAN_SLICE`` windows, and stops at the first drift; each mean
+        is computed at most once, and only where the verdict needs it:
 
         * While the running maximum is below the all-ones mean ``top``,
-          each block's means are computed and scanned for the running
-          maximum and the first drift, as the rule reads.
+          a block is the next ``_SCAN_SLICE`` windows.
         * Once the maximum is ``top`` it cannot grow, and a window with
           at least ``_sure_ones`` ones cannot fire (see the class
-          docstring).  Only the windows with fewer ones, found exactly
-          from the positions of the zeros, have their means computed;
+          docstring).  A block is then the next run of windows with
+          fewer ones, found exactly from the positions of the zeros;
           candidates at most ``_MIN_BLOCK`` windows apart share a block.
 
-        After each internal reset the scan jumps over the refill gap, so
-        the cost stays linear no matter how many drifts occur.  With
-        ``first_only`` the scan stops at the first drift, leaving the bits
-        after it unconsumed.
+        Either way a block's means are scanned for the running maximum
+        and the first drift, as the rule reads.
         """
         held = len(self._win)
         if not isinstance(bits, np.ndarray):
@@ -277,62 +261,33 @@ class MDDM(DriftDetector):
             bits = bits != 0  # truthy = 1
         flags = np.concatenate([np.asarray(self._win, dtype=bool), bits])
         seq = flags.astype(np.float64)
-        n, v = self.n, self._v
+        n = self.n
         m = seq.size - n + 1  # windows in seq; window j is seq[j:j + n]
-        out: list[int] = []
-        mu_max = self.mu_max
-        eps, top = self.epsilon, self._top
+        mu_max, top = self.mu_max, self._top
         k = max(held - n + 1, 0)  # first window that ends in the new bits
-        start = 0  # first bit of seq since the last reset
-        if k < m:
-            runs = None  # (first, end) of the candidate runs, once saturated
-            base, means = 0, seq[:0]  # the last correlation: means of windows base...
-
-            def exact(lo, hi):
-                """Means of windows lo..hi-1, or of a prefix of them already computed."""
-                nonlocal base, means
-                if lo >= base + means.size:
-                    base, means = lo, np.correlate(seq[lo:hi + n - 1], v, "valid")
-                return means[lo - base:hi - base]
-
-            chunk = _SCAN_CHUNK
-            while k < m:
-                if mu_max < top:
-                    block = exact(k, min(k + chunk, m))
-                    end = k + block.size
-                    running = np.maximum.accumulate(block)
-                    np.maximum(running, mu_max, out=running)
-                    hits = running - block >= eps
-                    peak = running[-1]
-                else:
-                    if runs is None:
-                        runs = self._candidate_runs(flags, m)
-                    r = int(np.searchsorted(runs[1], k, side="right"))
-                    if r == runs[1].size:
-                        break  # no window left can fire
-                    lo = max(int(runs[0][r]), k)
-                    end = min(max(int(runs[1][r]), lo + _MIN_BLOCK), lo + chunk, m)
-                    block = exact(lo, end)
-                    end = lo + block.size
-                    # The running maximum is top throughout.
-                    hits = top - block >= eps
-                    peak, k = top, lo
-                if hits.any():
-                    start = k + int(np.argmax(hits)) + n
-                    out.append(start - 1 - held)
-                    if first_only:
-                        self.reset()
-                        return out
-                    mu_max = 0.0
-                    k = start
-                    chunk = _SCAN_CHUNK
-                else:
-                    mu_max = float(peak)
-                    k = end
-                    chunk = min(chunk * 2, _SCAN_CHUNK_MAX)
-        self._win = flags[max(start, seq.size - n):].astype(np.int64).tolist()
+        runs = None  # (first, end) of the candidate runs, once saturated
+        while k < m:
+            lo, end = k, min(k + _SCAN_SLICE, m)
+            if mu_max >= top:
+                if runs is None:
+                    runs = self._candidate_runs(flags, m)
+                r = int(np.searchsorted(runs[1], k, side="right"))
+                if r == runs[1].size:
+                    break  # no window left can fire
+                lo = max(int(runs[0][r]), k)
+                end = min(max(int(runs[1][r]), lo + _MIN_BLOCK), lo + _SCAN_SLICE, m)
+            block = np.correlate(seq[lo:end + n - 1], self._v, "valid")
+            running = np.maximum.accumulate(block)
+            np.maximum(running, mu_max, out=running)
+            hits = running - block >= self.epsilon
+            if hits.any():
+                self.reset()
+                return lo + int(np.argmax(hits)) + n - 1 - held
+            mu_max = float(running[-1])
+            k = end
+        self._win = flags[max(seq.size - n, 0):].astype(np.int64).tolist()
         self.mu_max = mu_max
-        return out
+        return None
 
     def _candidate_runs(self, flags: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Runs of the windows of ``flags`` that can fire once the maximum is

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check."""
+"""Shared exception types, the integer check and output-file opening."""
 
 
 class UsageError(Exception):
@@ -22,3 +22,12 @@ def as_int(name: str, value, minimum: int | None = None) -> int:
     if minimum is not None and number < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {number}")
     return number
+
+
+def open_output(path):
+    """``path`` opened to write a CSV file; an OSError (a missing directory,
+    a directory, no permission) is a UsageError naming the path."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 from .detectors import ADWIN, CUSUM, DDM, EDDM, MDDM, RDDM, Arithmetic, Euler, Geometric, PageHinkley, fhddm
 from .detectors.mddm import DEFAULT_DELTA
-from .errors import DataFormatError, UsageError, as_int
+from .errors import DataFormatError, UsageError, as_int, open_output
 from .evaluation import AggregateRow, DriftScore, aggregate, score_run, unscored_row
 from .learners import prequential_runs
 from .streams import (DEFAULT_LENGTH, DEFAULT_NOISE, Stream, StreamSpec, default_schedule,
@@ -448,7 +448,7 @@ def _fmt(value) -> str:
 
 
 def write_run_csv(path, runs: list[RunResult]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with open_output(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(RUN_CSV_FIELDS)
         for r in runs:
@@ -464,7 +464,7 @@ def write_run_csv(path, runs: list[RunResult]) -> None:
 
 
 def write_aggregate_csv(path, rows: list[AggregateRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with open_output(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(AGG_CSV_FIELDS)
         for row in rows:

@@ -31,13 +31,13 @@ counts of a block come from one table with a row per (attribute, value)
 pair and, grouped by class, a seed column per class and a column per
 block instance: one cumsum serves every attribute and class, and the
 Laplace terms take one log per table cell rather than one per
-(instance, class, attribute).  Blocks are shorter than ``_BLOCK`` only
-where that table would exceed ``_TABLE_CELLS``.  A reset throws away the
-rest of the block for the detector that fired, so a timeline made at a
-reset starts with a block no longer than the stretch since its parent's
-reset (at least ``_FIRST_BLOCK`` rows), which then doubles: alarm
-cascades waste little, rare alarms keep full blocks, and the cost stays
-linear in the stream.
+(instance, class, attribute).  Blocks are one detector scan slice,
+``_SCAN_SLICE``, or shorter where that table would exceed
+``_TABLE_CELLS``.  A reset throws away the rest of the block for the
+detector that fired, so a timeline made at a reset starts with a block
+no longer than the stretch since its parent's reset (at least
+``_FIRST_BLOCK`` rows), which then doubles: alarm cascades waste little,
+rare alarms keep full blocks, and the cost stays linear in the stream.
 """
 
 from __future__ import annotations
@@ -48,13 +48,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .detectors.base import DriftDetector
+from .detectors.base import _SCAN_SLICE, DriftDetector
 from .errors import UsageError
 from .streams import NOMINAL, NUMERIC, Stream, StreamSchema
 
 VARIANCE_FLOOR = 1e-6
 _TWO_PI = 2.0 * math.pi
-_BLOCK = 4096
 _FIRST_BLOCK = 64  # shortest block after a detector-driven reset
 # Cap on the cells (8 bytes each) of a block's nominal count table, Σcard
 # rows by block + classes columns: a wider schema gets shorter blocks (no
@@ -279,7 +278,7 @@ def prequential_runs(stream: Stream, detectors: Sequence[Optional[DriftDetector]
     correct = [0] * len(detectors)
     bits_out = [np.zeros(n, dtype=bool) if keep_bits else None for _ in detectors]
     width = max(int(model._cards.sum()), 1)
-    longest = min(_BLOCK, max(_FIRST_BLOCK, _TABLE_CELLS // width - model.n_classes))
+    longest = min(_SCAN_SLICE, max(_FIRST_BLOCK, _TABLE_CELLS // width - model.n_classes))
     # Live timelines keyed by their last reset position, the root by None.
     live = {None: _Timeline(model, 0, 0, longest, list(range(len(detectors))))}
     while live:

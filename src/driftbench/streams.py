@@ -51,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataFormatError, UsageError
+from .errors import DataFormatError, UsageError, open_output
 
 NUMERIC = "numeric"
 NOMINAL = "nominal"
@@ -222,12 +222,6 @@ _SIGMOID_ZERO = -746.0
 _SIGMOID_ONE = 40.0
 
 
-def _logistic(x):
-    """1 / (1 + e^-x); where e^-x overflows to inf the result is 0."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
 def drift_probability(t, t0, zeta: int):
     """Probability that instance ``t`` is drawn from the post-drift concept.
 
@@ -237,8 +231,9 @@ def drift_probability(t, t0, zeta: int):
     """
     if zeta < 1:
         raise UsageError(f"transition length must be >= 1, got {zeta}")
-    t = np.asarray(t, dtype=np.float64)
-    out = _logistic(4.0 * (t - t0) / zeta)
+    x = 4.0 * (np.asarray(t, dtype=np.float64) - t0) / zeta
+    with np.errstate(over="ignore"):  # where e^-x overflows to inf, 1 / inf is 0
+        out = 1.0 / (1.0 + np.exp(-x))
     return float(out) if out.ndim == 0 else out
 
 
@@ -541,7 +536,7 @@ def dump_stream(spec, path) -> None:
     stream = generate_stream(spec) if isinstance(spec, StreamSpec) else spec
     schema = stream.schema
     kinds = schema.kinds
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with open_output(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow([name if kind == NUMERIC else f"{name}:nominal:{card}"
                          for name, kind, card in zip(schema.names, kinds, schema.cardinalities)]

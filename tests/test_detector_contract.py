@@ -443,8 +443,9 @@ def test_mddm_certificate_edges_equal_the_reference(case_id, make, make_bits, se
 def test_mddm_certificate_edges_across_small_blocks(monkeypatch):
     """Blocks of a few windows put block edges inside candidate runs,
     refill gaps and the switch to the saturated scan."""
-    from driftbench.detectors import mddm
-    monkeypatch.setattr(mddm, "_SCAN_CHUNK", 3)
+    from driftbench.detectors import base, mddm
+    monkeypatch.setattr(mddm, "_SCAN_SLICE", 3)
+    monkeypatch.setattr(base, "_SCAN_SLICE", 3)
     monkeypatch.setattr(mddm, "_MIN_BLOCK", 2)
     for case_id, make, make_bits in CERTIFICATE_CASES:
         rng = np.random.default_rng(sum(map(ord, case_id)))
@@ -458,10 +459,8 @@ def test_mddm_certificate_edges_across_small_blocks(monkeypatch):
 
 def test_mddm_small_blocks_equal_default_blocks(monkeypatch):
     """Random weighted windows scanned in blocks of a few windows give what
-    the default blocks give.  After a drift a block can start inside
-    means the block before it computed; it must then advance by the
-    means it got, not by the ones it asked for."""
-    from driftbench.detectors import mddm
+    the default blocks give."""
+    from driftbench.detectors import base, mddm
     rng = np.random.default_rng(5)
     cases = []
     for _ in range(2000):
@@ -470,7 +469,8 @@ def test_mddm_small_blocks_equal_default_blocks(monkeypatch):
         bits = (rng.random(400) < np.repeat(rng.random(8), 50)).astype(np.int64)
         det = MDDM(**params)
         cases.append((params, bits, det.drift_points(bits), state(det)))
-    monkeypatch.setattr(mddm, "_SCAN_CHUNK", 3)
+    monkeypatch.setattr(mddm, "_SCAN_SLICE", 3)
+    monkeypatch.setattr(base, "_SCAN_SLICE", 3)
     monkeypatch.setattr(mddm, "_MIN_BLOCK", 2)
     for params, bits, want, want_state in cases:
         det = MDDM(**params)
@@ -537,3 +537,4 @@ def test_drift_points_takes_any_iterable(name):
 def test_each_detector_implements_only_scan(name):
     det = ALL_TEN[name]()
     assert "step" not in vars(type(det)) and "scan" in vars(type(det))
+    assert "drift_points" not in vars(type(det))

@@ -570,6 +570,16 @@ class TestOutOfDomainValues:
         assert main(["--stream", "sine1", "--detector", detector, "--runs", "1",
                      "--window-size", "2000", "--set", "length=2000"]) == 0
 
+    @pytest.mark.parametrize("flag,where", [
+        ("--out", "missing-dir"), ("--out", "a-dir"), ("--dump", "missing-dir")])
+    def test_unwritable_output_path_is_usage_error(self, flag, where, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+        code = main(["--stream", "sine1", "--detector", "none", "--runs", "1",
+                     "--set", "length=300", flag, str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and str(path) in err
+
     def test_window_longer_than_a_csv_stream_fails_its_cell(self, tmp_path):
         path = tmp_path / "short.csv"
         dump_stream(StreamSpec("mixed", length=40, seed=3), path)

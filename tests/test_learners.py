@@ -22,6 +22,7 @@ from driftbench import (
     prequential_runs,
 )
 from driftbench import learners
+from driftbench.detectors.base import _SCAN_SLICE
 from driftbench.streams import NOMINAL, NUMERIC, ConceptSchedule, Stream, StreamSchema
 
 
@@ -390,6 +391,24 @@ class TestSharedTimelines:
             self.assert_trained_from(model, stream, last)
         a, g = shared[1].alarms, shared[3].alarms
         assert len(a) > 20 and a != g and set(a) & set(g)
+
+    @pytest.mark.parametrize("family", ["sine1", "led"])
+    @pytest.mark.parametrize("policy", ["reset", "none"])
+    def test_no_scan_gets_more_than_one_slice(self, family, policy):
+        # A scan of at most _SCAN_SLICE bits is one MDDM block.
+        class Recording(MDDM):
+            def scan(self, bits):
+                sizes.append(len(bits))
+                return super().scan(bits)
+
+        sizes = []
+        stream = generate_stream(StreamSpec(family, length=30_000, seed=6))
+        records = prequential_runs(stream, [Recording(Arithmetic(0.01), 25, 0.1),
+                                            Recording(Arithmetic(0.01), 25, 1e-6)], policy)
+        assert records[0].alarms and sizes
+        assert max(sizes) <= _SCAN_SLICE
+        if family == "sine1":  # led's table cap keeps its blocks shorter
+            assert max(sizes) == _SCAN_SLICE
 
     @pytest.mark.parametrize("lineup", [[None], [None, None]])
     def test_blind_policy(self, lineup):

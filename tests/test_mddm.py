@@ -316,8 +316,8 @@ class TestEquivalences:
         assert MDDM().scan(iter([1] * 100)) is None
 
     def test_drift_points_from_dirty_state(self):
-        # The one-pass batch path must agree with step() regardless of the
-        # detector's entry state and leave identical state behind.
+        # drift_points, a scan per slice, must agree with step() regardless
+        # of the detector's entry state and leave identical state behind.
         rng = np.random.default_rng(6)
         for prefix_len in (0, 3, 24, 25, 60):
             for tail_len in (0, 5, 26, 3000):
