@@ -24,10 +24,11 @@ def as_int(name: str, value, minimum: int | None = None) -> int:
     return number
 
 
-def open_output(path):
-    """``path`` opened to write a CSV file; an OSError (a missing directory,
-    a directory, no permission) is a UsageError naming the path."""
+def open_output(path, mode: str = "w"):
+    """``path`` opened to write a CSV file (``mode`` "a" appends); an
+    OSError (a missing directory, a directory, no permission) is a
+    UsageError naming the path."""
     try:
-        return open(path, "w", newline="", encoding="utf-8")
+        return open(path, mode, newline="", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc

@@ -208,6 +208,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     This is the one-cell case of :func:`run_matrix`; the cell's error, if
     any, is raised.
     """
+    _probe_outputs(config.out)
     cell, = _run_plans([_plan_stream(config.stream, [config.detector],
                                      lambda detector: config)])
     if cell.error is not None:
@@ -426,6 +427,7 @@ def _cell_result(config: ExperimentConfig, outcomes: list, k: int) -> Experiment
 def run_matrix(streams: list[str], detectors: list[str],
                base: ExperimentConfig, out: Optional[str] = None) -> MatrixReport:
     """Run every (stream, detector) cell; cell failures are isolated."""
+    _probe_outputs(out)
     report = MatrixReport(_run_plans([
         _plan_stream(stream, detectors, partial(replace, base, stream=stream, out=None))
         for stream in streams]))
@@ -434,6 +436,14 @@ def run_matrix(streams: list[str], detectors: list[str],
                             for run in c.result.runs])
         write_aggregate_csv(_aggregate_path(out), report.aggregates)
     return report
+
+
+def _probe_outputs(out) -> None:
+    """Open both output paths of ``out`` to append, which creates them and
+    truncates nothing, so an unwritable one fails before any run."""
+    if out:
+        for path in (out, _aggregate_path(out)):
+            open_output(path, "a").close()
 
 
 def _aggregate_path(out) -> Path:

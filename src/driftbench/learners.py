@@ -186,7 +186,7 @@ def _nominal_scores(model: NaiveBayes, X: np.ndarray, y: np.ndarray,
     B = y.shape[0]
     m = model.n_classes
     cards = model._cards
-    codes = np.array([X[:, j] for j, _ in model._nominal], dtype=np.int64)
+    codes = X[:, [j for j, _ in model._nominal]].T.astype(np.int64)
     if codes.min() < 0 or (codes.max(axis=1) >= cards).any():
         i, slot = np.argwhere(((codes < 0) | (codes >= cards[:, None])).T)[0]
         j = model._nominal[slot][0]

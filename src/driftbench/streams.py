@@ -58,7 +58,7 @@ NOMINAL = "nominal"
 
 DEFAULT_LENGTH = 100_000
 # Longest stream a StreamSpec accepts, 1000x the paper's streams.  Every
-# instance is a float64 row held in memory, so a longer stream is refused
+# instance is a row held in memory, so a longer stream is refused
 # as a usage error before anything is built rather than failing to allocate.
 # Generation holds only the arrays it returns (X, y, concepts) plus scratch
 # of _PIECE rows, so a stream that fits in memory can be generated.
@@ -66,10 +66,12 @@ MAX_LENGTH = 100_000_000
 # Rows per piece of scratch while a stream is generated or a CSV file is
 # converted to arrays.
 _PIECE = 4096
-# Largest k a CSV header's "name:nominal:<k>" mark may declare.  Naive Bayes
+# Largest k a CSV header's "name:nominal:<k>" mark may declare, and most
+# distinct values an unmarked nominal CSV column may hold.  Naive Bayes
 # sizes its per-class arrays by the label's k and keeps a (classes, k)
-# count table per nominal attribute before any row is read, so a larger
-# mark is refused as a data error rather than failing to allocate.
+# count table per nominal attribute, so a larger mark is refused as a data
+# error rather than failing to allocate.  Every code is below it, so int16
+# holds the codes of an all-nominal stream (see Stream).
 MAX_CARDINALITY = 4096
 DEFAULT_NOISE = 0.10
 
@@ -200,9 +202,12 @@ class StreamSchema:
 class Stream:
     """A materialised stream: attribute matrix, labels, and ground truth.
 
-    ``X`` stores every attribute as float64 (nominal attributes hold
-    integer codes).  ``drift_positions`` and ``concepts`` are harness
-    ground truth; CSV streams have no such truth and leave them empty.
+    ``X`` holds one column per attribute: int16 codes when every
+    attribute is nominal (led and all-nominal CSV files; every code is
+    below :data:`MAX_CARDINALITY`), float64 otherwise, where nominal
+    attributes hold their integer codes as floats.  ``y`` and ``concepts``
+    are int64.  ``drift_positions`` and ``concepts`` are harness ground
+    truth; CSV streams have no such truth and leave them empty.
     """
 
     name: str
@@ -214,6 +219,11 @@ class Stream:
 
     def __len__(self) -> int:
         return self.y.shape[0]
+
+
+def _x_dtype(kinds) -> type:
+    """The dtype of ``Stream.X`` for attributes of these kinds."""
+    return np.int16 if all(kind == NOMINAL for kind in kinds) else np.float64
 
 
 # Below x = -746 and above x = 40 the logistic 1 / (1 + e^-x) is exactly 0
@@ -356,8 +366,11 @@ def generate_stream(spec: StreamSpec) -> Stream:
             raise UsageError(
                 f"led layout defines {len(LED_DEFAULT_LAYOUT)} concepts, schedule needs "
                 f"{schedule.concepts}")
+        schema = StreamSchema(tuple(f"a{j + 1}" for j in range(LED_ATTRIBUTES)),
+                              (NOMINAL,) * LED_ATTRIBUTES,
+                              (2,) * LED_ATTRIBUTES, 10)
         y = rng.integers(0, 10, size=n)  # the digits; the noise comes last
-        X = np.empty((n, LED_ATTRIBUTES))
+        X = np.empty((n, LED_ATTRIBUTES), dtype=_x_dtype(schema.kinds))
         for a, b in _pieces(0, n):
             X[a:b] = rng.integers(0, 2, size=(b - a, LED_ATTRIBUTES))
         concept = _concept_draws(n, schedule, rng)
@@ -378,9 +391,6 @@ def generate_stream(spec: StreamSpec) -> Stream:
             flip = rng.random(b - a) < spec.noise
             digits = y[a:b]
             digits[flip] = (digits[flip] + offsets_rng.integers(1, 10, size=b - a)[flip]) % 10
-        schema = StreamSchema(tuple(f"a{j + 1}" for j in range(LED_ATTRIBUTES)),
-                              (NOMINAL,) * LED_ATTRIBUTES,
-                              (2,) * LED_ATTRIBUTES, 10)
 
     return Stream(name=family, X=X, y=y, schema=schema,
                   drift_positions=schedule.positions, concepts=concept)
@@ -394,13 +404,14 @@ def load_csv_stream(path) -> Stream:
     a float, nominal otherwise.  A numeric value must be finite: ``nan``,
     ``inf`` or an overflowing literal such as ``1e400`` is a
     :class:`DataFormatError`.  Nominal values get integer codes in
-    first-seen order.  Labels that are nonnegative integers are taken
-    verbatim as class codes (so dumped streams load back with identical
-    labels); otherwise labels are class names, coded in first-seen order.
-    The first label decides which, and a label column mixing the two is a
-    :class:`DataFormatError`.  A file of r data rows holds at most r
-    classes, so a code above r is a :class:`DataFormatError` too (0- and
-    1-based codes always pass).
+    first-seen order; a column with more than :data:`MAX_CARDINALITY`
+    distinct values is a :class:`DataFormatError`.  Labels that are
+    nonnegative integers are taken verbatim as class codes (so dumped
+    streams load back with identical labels); otherwise labels are class
+    names, coded in first-seen order.  The first label decides which, and
+    a label column mixing the two is a :class:`DataFormatError`.  A file
+    of r data rows holds at most r classes, so a code above r is a
+    :class:`DataFormatError` too (0- and 1-based codes always pass).
 
     A header field ``name:nominal:<k>`` (as :func:`dump_stream` writes
     for nominal attributes and the label) marks a column of integer codes
@@ -411,7 +422,8 @@ def load_csv_stream(path) -> Stream:
     above :data:`MAX_CARDINALITY`.
 
     Blank rows are skipped, a header-only file is an empty stream, and
-    an error in a data row names its line.
+    an error in a data row names its line.  ``X`` takes the dtype that
+    :class:`Stream` gives the schema's kinds.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as handle:
@@ -436,7 +448,7 @@ def load_csv_stream(path) -> Stream:
         kinds = label_is_code = None
         codes = [{} for _ in marked]   # nominal value -> code, per attribute
         label_codes: dict[str, int] = {}
-        # Parsed rows become float64 every _PIECE rows.  Labels stay one
+        # Parsed rows become an array every _PIECE rows.  Labels stay one
         # list until the code check below, which may refuse codes too large
         # for int64; a small int costs a list 8 bytes, as in an int64 array.
         pieces, rows, labels = [], [], []
@@ -458,7 +470,12 @@ def load_csv_stream(path) -> Stream:
                 elif kinds[j] == NUMERIC:
                     attrs.append(_finite(path, line, header[j], value))
                 else:
-                    attrs.append(codes[j].setdefault(value, len(codes[j])))
+                    code = codes[j].setdefault(value, len(codes[j]))
+                    if code == MAX_CARDINALITY:
+                        raise DataFormatError(
+                            f"{path}: line {line}: column {header[j]!r}: more than "
+                            f"{MAX_CARDINALITY} distinct nominal values")
+                    attrs.append(code)
             raw_label = row[-1]
             if label_mark:
                 labels.append(_marked_code(path, line, header[-1], raw_label, label_mark))
@@ -476,9 +493,8 @@ def load_csv_stream(path) -> Stream:
                 labels.append(label_codes.setdefault(raw_label, len(label_codes)))
             rows.append(attrs)
             if len(rows) == _PIECE:
-                pieces.append(np.array(rows, dtype=np.float64))
+                pieces.append(np.array(rows, dtype=_x_dtype(kinds)))
                 rows = []
-    pieces.append(np.array(rows, dtype=np.float64).reshape(-1, len(marked)))
     if top_code > len(labels):
         # Each class code sizes the learner's per-class arrays.
         raise DataFormatError(
@@ -486,6 +502,7 @@ def load_csv_stream(path) -> Stream:
             f"file's {len(labels)} data rows")
     if kinds is None:
         kinds = [NOMINAL if card else NUMERIC for card in marked]
+    pieces.append(np.array(rows, dtype=_x_dtype(kinds)).reshape(-1, len(marked)))
     cards = tuple((card or len(values)) if kind == NOMINAL else 0
                   for kind, card, values in zip(kinds, marked, codes))
     n_classes = max(max(labels, default=-1) + 1, label_mark)

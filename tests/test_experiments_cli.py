@@ -572,13 +572,21 @@ class TestOutOfDomainValues:
 
     @pytest.mark.parametrize("flag,where", [
         ("--out", "missing-dir"), ("--out", "a-dir"), ("--dump", "missing-dir")])
-    def test_unwritable_output_path_is_usage_error(self, flag, where, tmp_path, capsys):
+    def test_unwritable_output_path_is_usage_error(self, flag, where, tmp_path, capsys,
+                                                   monkeypatch):
+        # --out is probed before any run: no stream is generated first.
+        calls = []
+        real = experiments.generate_stream
+        monkeypatch.setattr(experiments, "generate_stream",
+                            lambda spec: calls.append(spec) or real(spec))
+        monkeypatch.setattr(experiments, "_cores", lambda: 1)
         path = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
         code = main(["--stream", "sine1", "--detector", "none", "--runs", "1",
                      "--set", "length=300", flag, str(path)])
         assert code == 2
         err = capsys.readouterr().err
         assert "internal error" not in err and str(path) in err
+        assert calls == []
 
     def test_window_longer_than_a_csv_stream_fails_its_cell(self, tmp_path):
         path = tmp_path / "short.csv"

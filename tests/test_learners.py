@@ -1,11 +1,13 @@
 """Incremental Naive Bayes and the prequential loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from driftbench import (
+    ADWIN,
     MDDM,
     Arithmetic,
     CUSUM,
@@ -16,8 +18,10 @@ from driftbench import (
     StreamSpec,
     UsageError,
     Verdict,
+    dump_stream,
     fhddm,
     generate_stream,
+    load_csv_stream,
     prequential_run,
     prequential_runs,
 )
@@ -449,3 +453,26 @@ class TestSharedTimelines:
         assert len(one.alarms) > 20
         assert sum(rows) == one_rows
         assert all(record.alarms == one.alarms for record in many)
+
+
+class TestAttributeDtype:
+    """An all-nominal stream's X holds int16 codes; the runs must be those
+    of the same codes held as float64."""
+
+    LINEUP = (lambda: MDDM(Arithmetic(0.01), 100, 1e-2), ADWIN, lambda: None)
+
+    @pytest.mark.parametrize("source", ["generated", "csv"])
+    def test_int16_codes_give_the_float64_runs(self, tmp_path, source):
+        spec = StreamSpec("led", length=10_000, seed=8,
+                          schedule=ConceptSchedule((2_500, 6_000), 500))
+        stream = generate_stream(spec)
+        if source == "csv":
+            dump_stream(stream, tmp_path / "led.csv")
+            stream = load_csv_stream(tmp_path / "led.csv")
+        assert stream.X.dtype == np.int16
+        wide = replace(stream, X=stream.X.astype(np.float64))
+        got, want = (prequential_runs(s, [make() for make in self.LINEUP], "reset",
+                                      keep_bits=True) for s in (stream, wide))
+        for shared, alone in zip(got, want, strict=True):
+            TestSharedTimelines.assert_same(shared, alone)
+        assert got[0].alarms and got[1].alarms

@@ -75,7 +75,8 @@ def full_length_concepts(n, schedule, rng):
 
 def full_length_stream(spec):
     """X, y and concepts from the documented draws taken as whole arrays,
-    with the binary families' labels from the scalar rules."""
+    with the binary families' labels from the scalar rules; led's X holds
+    int16 codes, the other families' X float64."""
     schedule = spec.resolved_schedule()
     rng = np.random.default_rng(spec.seed)
     n = spec.length
@@ -94,7 +95,7 @@ def full_length_stream(spec):
             X[np.ix_(rows, LED_DEFAULT_LAYOUT[c])] = LED_SEGMENTS[digits[rows]]
         flip = rng.random(n) < spec.noise
         y = np.where(flip, (digits + rng.integers(1, 10, size=n)) % 10, digits)
-        return X.astype(np.float64), y, concepts
+        return X.astype(np.int16), y, concepts
     rule = SCALAR_RULES[spec.family]
     clean = np.array([rule(row, c) for row, c in zip(X, concepts)], dtype=np.int64)
     flip = rng.random(n) < spec.noise
@@ -247,7 +248,8 @@ class TestGenerateStream:
                               schedule=ConceptSchedule((5, n // 2, n - 3), zeta))
             stream = generate_stream(spec)
             X, y, concepts = full_length_stream(spec)
-            assert stream.X.dtype == np.float64 and np.array_equal(stream.X, X)
+            dtype = np.int16 if family == "led" else np.float64
+            assert stream.X.dtype == X.dtype == dtype and np.array_equal(stream.X, X)
             assert stream.y.dtype == np.int64 and np.array_equal(stream.y, y)
             assert np.array_equal(stream.concepts, concepts)
 
@@ -491,6 +493,9 @@ class TestCsvRoundTrip:
         dump_stream(spec, path)
         loaded, original = load_csv_stream(path), generate_stream(spec)
         assert loaded.schema == original.schema
+        # Only the all-nominal led schema holds int16 codes.
+        dtype = np.int16 if family == "led" else np.float64
+        assert loaded.X.dtype == original.X.dtype == dtype
         assert np.array_equal(loaded.X, original.X)
         assert np.array_equal(loaded.y, original.y)
         bits = [prequential_run(s, NaiveBayes(s.schema), keep_bits=True).bits
@@ -520,19 +525,34 @@ class TestCsvRoundTrip:
         with pytest.raises(DataFormatError, match="line 3.*marked cardinality"):
             load_csv_stream(path)
 
-    @pytest.mark.parametrize("marked", ["v", "label"])
+    @pytest.mark.parametrize("marked", ["v", "label", "unmarked"])
     def test_marked_cardinality_is_bounded(self, tmp_path, marked):
+        # An unmarked nominal column may hold as many distinct values as a
+        # mark may declare; the first value past them fails at its line.
         path = tmp_path / "marked.csv"
         for card in (MAX_CARDINALITY, MAX_CARDINALITY + 1):
-            header = ",".join(f"{name}:nominal:{card}" if name == marked else name
-                              for name in ("v", "label"))
-            path.write_text(f"{header}\n0,0\n1,1\n")
+            if marked == "unmarked":
+                path.write_text("v,label\n" + "".join(f"id{i},{i % 2}\n" for i in range(card)))
+                line, column = card + 1, "v"
+            else:
+                header = ",".join(f"{name}:nominal:{card}" if name == marked else name
+                                  for name in ("v", "label"))
+                path.write_text(f"{header}\n0,0\n1,1\n")
+                line, column = 1, marked
             if card == MAX_CARDINALITY:
                 schema = load_csv_stream(path).schema
                 assert card in (schema.n_classes, *schema.cardinalities)
             else:
-                with pytest.raises(DataFormatError, match=f"line 1: column '{marked}'"):
+                with pytest.raises(DataFormatError, match=f"line {line}: column '{column}'"):
                     load_csv_stream(path)
+
+    def test_all_nominal_file_holds_the_largest_code(self, tmp_path):
+        path = tmp_path / "codes.csv"
+        top = MAX_CARDINALITY - 1
+        path.write_text(f"v:nominal:{MAX_CARDINALITY},w,label\n{top},red,0\n0,blue,1\n")
+        stream = load_csv_stream(path)
+        assert stream.schema.kinds == (NOMINAL, NOMINAL)
+        assert stream.X.dtype == np.int16 and stream.X.tolist() == [[top, 0], [0, 1]]
 
     def test_unmarked_integer_columns_keep_inference(self, tmp_path):
         path = tmp_path / "plain.csv"
