@@ -28,7 +28,7 @@ from .detectors import (
 )
 from .errors import DataFormatError, UsageError
 from .evaluation import AggregateRow, DriftScore, aggregate, score_run
-from .experiments import ExperimentConfig, ExperimentResult, MatrixReport, run_experiment, run_matrix
+from .experiments import ExperimentConfig, ExperimentResult, MatrixReport, run_matrix
 from .learners import NaiveBayes, RunRecord, prequential_run, prequential_runs
 from .streams import (
     ConceptSchedule,
@@ -53,6 +53,5 @@ __all__ = [
     "UsageError", "Verdict", "WeightScheme", "aggregate", "build_weights",
     "compute_epsilon", "default_schedule", "drift_probability",
     "dump_stream", "fhddm", "generate_stream", "load_csv_stream",
-    "prequential_run", "prequential_runs", "run_experiment", "run_matrix",
-    "score_run",
+    "prequential_run", "prequential_runs", "run_matrix", "score_run",
 ]

@@ -29,9 +29,8 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .detectors import ADWIN, CUSUM, DDM, EDDM, MDDM, RDDM, Arithmetic, Euler, Geometric, PageHinkley, fhddm
 from .detectors.mddm import DEFAULT_DELTA
@@ -109,7 +108,6 @@ class ExperimentConfig:
     noise: float = DEFAULT_NOISE
     policy: str = "reset"
     params: dict = field(default_factory=dict)
-    out: Optional[str] = None
 
     def __post_init__(self):
         name = self.detector.lower()
@@ -202,23 +200,6 @@ def _window(config: ExperimentConfig, length: int) -> int:
     return window
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Execute one cell: R runs, scoring, aggregation, optional CSV output.
-
-    This is the one-cell case of :func:`run_matrix`; the cell's error, if
-    any, is raised.
-    """
-    _probe_outputs(config.out)
-    cell, = _run_plans([_plan_stream(config.stream, [config.detector],
-                                     lambda detector: config)])
-    if cell.error is not None:
-        raise cell.error
-    if config.out:
-        write_run_csv(config.out, cell.result.runs)
-        write_aggregate_csv(_aggregate_path(config.out), [cell.result.aggregate])
-    return cell.result
-
-
 @dataclass(frozen=True)
 class CellResult:
     """One matrix cell: its result, or the error that stopped it."""
@@ -270,9 +251,8 @@ class _StreamPlan:
         return [cell for cell in self.cells if not isinstance(cell, Exception)]
 
 
-def _plan_stream(stream: str, detectors: list[str],
-                 config_of: Callable[..., ExperimentConfig]) -> _StreamPlan:
-    """Build one stream's cells, ``config_of(detector=name)`` each.
+def _plan_stream(stream: str, detectors: list[str], base: ExperimentConfig) -> _StreamPlan:
+    """Build one stream's cells, ``base`` with the stream and each detector.
 
     The cells differ only in their detector, so the stream's recipe comes
     from the first valid configuration, and a recipe or CSV file that
@@ -283,7 +263,7 @@ def _plan_stream(stream: str, detectors: list[str],
     cells: list = []
     for name in detectors:
         try:
-            cells.append(config_of(detector=name))
+            cells.append(replace(base, stream=stream, detector=name))
         except CELL_ERRORS as exc:
             cells.append(exc)
     configs = [cell for cell in cells if not isinstance(cell, Exception)]
@@ -426,11 +406,10 @@ def _cell_result(config: ExperimentConfig, outcomes: list, k: int) -> Experiment
 
 def run_matrix(streams: list[str], detectors: list[str],
                base: ExperimentConfig, out: Optional[str] = None) -> MatrixReport:
-    """Run every (stream, detector) cell; cell failures are isolated."""
+    """Run every (stream, detector) cell of ``base``; cell failures are isolated.
+    ``out`` names the per-run CSV, written with its ``_aggregate`` twin."""
     _probe_outputs(out)
-    report = MatrixReport(_run_plans([
-        _plan_stream(stream, detectors, partial(replace, base, stream=stream, out=None))
-        for stream in streams]))
+    report = MatrixReport(_run_plans([_plan_stream(s, detectors, base) for s in streams]))
     if out:
         write_run_csv(out, [run for c in report.cells if c.result is not None
                             for run in c.result.runs])

@@ -31,8 +31,8 @@ counts of a block come from one table with a row per (attribute, value)
 pair and, grouped by class, a seed column per class and a column per
 block instance: one cumsum serves every attribute and class, and the
 Laplace terms take one log per table cell rather than one per
-(instance, class, attribute).  Blocks are one detector scan slice,
-``_SCAN_SLICE``, or shorter where that table would exceed
+(instance, class, attribute).  Blocks are one scan slice, ``_SCAN_SLICE``,
+or shorter where that table or a (classes, block) array would exceed
 ``_TABLE_CELLS``.  A reset throws away the rest of the block for the
 detector that fired, so a timeline made at a reset starts with a block
 no longer than the stretch since its parent's reset (at least
@@ -56,8 +56,9 @@ VARIANCE_FLOOR = 1e-6
 _TWO_PI = 2.0 * math.pi
 _FIRST_BLOCK = 64  # shortest block after a detector-driven reset
 # Cap on the cells (8 bytes each) of a block's nominal count table, Σcard
-# rows by block + classes columns: a wider schema gets shorter blocks (no
-# shorter than _FIRST_BLOCK), which keeps the table within 1 MB.
+# rows by block + classes columns, and of its (classes, block) arrays: a
+# wider schema or more classes get shorter blocks (no shorter than
+# _FIRST_BLOCK), which keeps each within 1 MB.
 _TABLE_CELLS = 1 << 17
 
 
@@ -278,7 +279,8 @@ def prequential_runs(stream: Stream, detectors: Sequence[Optional[DriftDetector]
     correct = [0] * len(detectors)
     bits_out = [np.zeros(n, dtype=bool) if keep_bits else None for _ in detectors]
     width = max(int(model._cards.sum()), 1)
-    longest = min(_SCAN_SLICE, max(_FIRST_BLOCK, _TABLE_CELLS // width - model.n_classes))
+    longest = min(_SCAN_SLICE, max(_FIRST_BLOCK, min(_TABLE_CELLS // width - model.n_classes,
+                                                     _TABLE_CELLS // max(model.n_classes, 1))))
     # Live timelines keyed by their last reset position, the root by None.
     live = {None: _Timeline(model, 0, 0, longest, list(range(len(detectors))))}
     while live:

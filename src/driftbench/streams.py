@@ -66,12 +66,11 @@ MAX_LENGTH = 100_000_000
 # Rows per piece of scratch while a stream is generated or a CSV file is
 # converted to arrays.
 _PIECE = 4096
-# Largest k a CSV header's "name:nominal:<k>" mark may declare, and most
-# distinct values an unmarked nominal CSV column may hold.  Naive Bayes
-# sizes its per-class arrays by the label's k and keeps a (classes, k)
-# count table per nominal attribute, so a larger mark is refused as a data
-# error rather than failing to allocate.  Every code is below it, so int16
-# holds the codes of an all-nominal stream (see Stream).
+# Largest k a CSV "name:nominal:<k>" mark may declare, and most distinct
+# values or class names an unmarked CSV column may hold.  Naive Bayes sizes
+# its per-class arrays by the class count and keeps a (classes, k) count
+# table per nominal attribute, so more is a data error rather than failing
+# to allocate.  Every code is below it, so int16 holds all-nominal X.
 MAX_CARDINALITY = 4096
 DEFAULT_NOISE = 0.10
 
@@ -409,7 +408,8 @@ def load_csv_stream(path) -> Stream:
     nonnegative integers are taken verbatim as class codes (so dumped
     streams load back with identical labels); otherwise labels are class
     names, coded in first-seen order.  The first label decides which, and
-    a label column mixing the two is a :class:`DataFormatError`.  A file
+    a label column mixing the two is a :class:`DataFormatError`.  Classes
+    are capped at :data:`MAX_CARDINALITY` like nominal values, and a file
     of r data rows holds at most r classes, so a code above r is a
     :class:`DataFormatError` too (0- and 1-based codes always pass).
 
@@ -437,11 +437,9 @@ def load_csv_stream(path) -> Stream:
         marks = [_NOMINAL_MARK.match(name) for name in header]
         header = [m.group(1) if m else name for m, name in zip(marks, header)]
         for name, m in zip(header, marks):
-            # Compared as digits first: int() refuses strings over 4300 digits.
-            digits = m.group(2) if m else "0"
-            if len(digits) > len(str(MAX_CARDINALITY)) or int(digits) > MAX_CARDINALITY:
+            if m and _code_below(m.group(2), MAX_CARDINALITY + 1) is None:
                 raise DataFormatError(
-                    f"{path}: line 1: column {name!r}: marked cardinality {digits} is above "
+                    f"{path}: line 1: column {name!r}: marked cardinality {m.group(2)} is above "
                     f"the largest supported, {MAX_CARDINALITY}")
         *marked, label_mark = [int(m.group(2)) if m else 0 for m in marks]
         # Kinds and whether labels are codes come from the first data row.
@@ -486,11 +484,19 @@ def load_csv_stream(path) -> Stream:
                     f"{path}: line {line}: label {raw_label!r} mixes integer class "
                     "codes with class names")
             elif label_is_code:
-                labels.append(int(raw_label))
+                if (code := _code_below(raw_label, MAX_CARDINALITY)) is None:
+                    raise DataFormatError(
+                        f"{path}: line {line}: label {raw_label} in column {header[-1]!r} is a "
+                        f"class code above the largest supported, {MAX_CARDINALITY - 1}")
+                labels.append(code)
                 if labels[-1] > top_code:
                     top_code, top_line = labels[-1], line
             else:
                 labels.append(label_codes.setdefault(raw_label, len(label_codes)))
+                if labels[-1] == MAX_CARDINALITY:
+                    raise DataFormatError(
+                        f"{path}: line {line}: column {header[-1]!r}: more than "
+                        f"{MAX_CARDINALITY} distinct class names")
             rows.append(attrs)
             if len(rows) == _PIECE:
                 pieces.append(np.array(rows, dtype=_x_dtype(kinds)))
@@ -532,9 +538,18 @@ def _finite(path: Path, line: int, column: str, value: str) -> float:
     return number
 
 
+def _code_below(value: str, bound: int) -> Optional[int]:
+    """``value`` as an integer code below ``bound``, or None.  The digits
+    are compared first: int() refuses strings over 4300 digits."""
+    digits = value.lstrip("0") or "0"
+    if _INT_LABEL.match(value) and len(digits) <= len(str(bound)) and int(digits) < bound:
+        return int(digits)
+    return None
+
+
 def _marked_code(path: Path, line: int, column: str, value: str, card: int) -> int:
-    if _INT_LABEL.match(value) and int(value) < card:
-        return int(value)
+    if (code := _code_below(value, card)) is not None:
+        return code
     raise DataFormatError(
         f"{path}: line {line}: column {column!r}: {value!r} is not a code below its "
         f"marked cardinality {card}")
@@ -550,6 +565,7 @@ def dump_stream(spec, path) -> None:
     (Laplace smoothing divides by both, even where a short file misses a
     value).  Identical specs produce byte-identical files.
     """
+    open_output(path, "a").close()  # fail before generating, truncating nothing
     stream = generate_stream(spec) if isinstance(spec, StreamSpec) else spec
     schema = stream.schema
     kinds = schema.kinds

@@ -32,7 +32,6 @@ from driftbench import (
     fhddm,
     generate_stream,
     prequential_run,
-    run_experiment,
     run_matrix,
 )
 from driftbench.experiments import ExperimentConfig, write_run_csv
@@ -184,8 +183,8 @@ class TestCriterion4BruteForce:
 
 class TestCriterion5TableOneReproduction:
     def test_sine1_mddm_a_at_desk_scale(self):
-        result = run_experiment(ExperimentConfig(
-            stream="sine1", detector="mddm_a", runs=100, seed=1))
+        result = run_matrix(["sine1"], ["mddm_a"], ExperimentConfig(
+            stream="sine1", detector="mddm_a", runs=100, seed=1)).cells[0].result
         agg = result.aggregate
         tps = np.array([r.score.tp for r in result.runs])
         runs_with_all = int((tps == 4).sum())
@@ -208,9 +207,9 @@ class TestCriterion6DirectionOfEffect:
 
     def test_circles_gradual_orderings(self):
         # One matrix call generates each circles stream once for all ten
-        # cells.  Its CSVs equal those of the one-cell-at-a-time loop
+        # cells.  Its CSVs equal those of running the cells one at a time
         # (TestStreamMajor.test_csv_bytes_equal_the_cell_by_cell_loop in
-        # tests/test_experiments_cli.py), of which run_experiment runs one cell.
+        # tests/test_experiments_cli.py).
         matrix = run_matrix(["circles"], list(self.DETECTORS),
                             ExperimentConfig(stream="circles", runs=100, seed=1))
         assert not matrix.errors
@@ -243,9 +242,9 @@ class TestCriterion7Properties:
     def test_tp_plus_fn_equals_drift_count_in_harness_scores(self):
         counts_ok = True
         for detector in ("mddm_a", "eddm", "none"):
-            result = run_experiment(ExperimentConfig(
+            result = run_matrix(["mixed"], [detector], ExperimentConfig(
                 stream="mixed", detector=detector, runs=3, seed=77,
-                params={"length": 45_000}))  # drifts at 20k and 40k
+                params={"length": 45_000})).cells[0].result  # drifts at 20k and 40k
             for r in result.runs:
                 counts_ok &= r.score.tp + r.score.fn == 2
         report("7b", counts_ok, "tp + fn == scheduled drift count in all scores")
@@ -255,7 +254,7 @@ class TestCriterion7Properties:
         for name in ("a.csv", "b.csv"):
             cfg = ExperimentConfig(stream="circles", detector="mddm_g", runs=2,
                                    seed=5, params={"length": 30_000})
-            result = run_experiment(cfg)
+            result = run_matrix([cfg.stream], [cfg.detector], cfg).cells[0].result
             path = tmp_path / name
             write_run_csv(path, result.runs)
             paths.append(path.read_bytes())
@@ -296,8 +295,8 @@ class TestCriterion9Electricity:
                         reason="electricity dataset not bundled; place it at "
                                "data/electricity.csv to enable")
     def test_electricity_reference_numbers(self):
-        result = run_experiment(ExperimentConfig(
-            stream=str(ELECTRICITY), detector="mddm_a", runs=1, seed=1))
+        result = run_matrix([str(ELECTRICITY)], ["mddm_a"], ExperimentConfig(
+            stream=str(ELECTRICITY), detector="mddm_a", runs=1, seed=1)).cells[0].result
         agg = result.aggregate
         acc_points = agg.accuracy_mean * 100.0
         alarms = agg.alarms_mean

@@ -16,9 +16,9 @@ import pytest
 
 from driftbench import (ADWIN, CUSUM, DDM, EDDM, MDDM, RDDM, Arithmetic, ConceptSchedule,
                         DataFormatError, Euler, ExperimentConfig, Geometric, PageHinkley,
-                        StreamSpec, UsageError, dump_stream, fhddm, run_experiment, run_matrix)
+                        StreamSpec, UsageError, dump_stream, fhddm, run_matrix)
 from driftbench import (NaiveBayes, aggregate, experiments, generate_stream, prequential_run,
-                        score_run)
+                        score_run, streams)
 from driftbench.cli import main
 from driftbench.experiments import (ACCEPT_DELAY_DEFAULTS, AGG_CSV_FIELDS, DETECTORS,
                                     RUN_CSV_FIELDS, WINDOW_DEFAULTS, RunResult,
@@ -33,10 +33,12 @@ def read_csv(path):
 
 
 class TestRunExperiment:
+    """One cell, run as a matrix of one stream and one detector."""
+
     def test_synthetic_cell_scores_against_schedule(self):
         cfg = ExperimentConfig(stream="sine1", detector="mddm_a", runs=3,
                                seed=50, params=dict(FAST, drift_every=1_000))
-        result = run_experiment(cfg)
+        result = run_matrix([cfg.stream], [cfg.detector], cfg).cells[0].result
         assert len(result.runs) == 3
         assert result.aggregate.runs == 3
         assert result.aggregate.tp_mean is not None
@@ -46,14 +48,15 @@ class TestRunExperiment:
     def test_deterministic_for_fixed_config(self):
         cfg = ExperimentConfig(stream="mixed", detector="ddm", runs=2,
                                seed=9, params=dict(FAST))
-        a, b = run_experiment(cfg), run_experiment(cfg)
+        a, b = (run_matrix([cfg.stream], [cfg.detector], cfg).cells[0].result
+                for _ in range(2))
         assert [r.alarms for r in a.runs] == [r.alarms for r in b.runs]
         assert a.aggregate == b.aggregate
 
     def test_runs_use_consecutive_seeds(self):
         cfg = ExperimentConfig(stream="sine1", detector="none", runs=3,
                                seed=31, params=dict(FAST))
-        result = run_experiment(cfg)
+        result = run_matrix([cfg.stream], [cfg.detector], cfg).cells[0].result
         assert [r.seed for r in result.runs] == [31, 32, 33]
 
     def test_csv_stream_reports_alarms_and_accuracy_only(self, tmp_path):
@@ -62,7 +65,7 @@ class TestRunExperiment:
                                 for i in range(1, 400)]
         path.write_text("\n".join(rows) + "\n")
         cfg = ExperimentConfig(stream=str(path), detector="none", runs=1)
-        result = run_experiment(cfg)
+        result = run_matrix([cfg.stream], [cfg.detector], cfg).cells[0].result
         agg = result.aggregate
         assert agg.delay_mean is None and agg.tp_mean is None
         assert agg.alarms_mean == 0.0
@@ -82,17 +85,17 @@ class TestRunExperiment:
         cfg = ExperimentConfig(stream="sine1", detector="mddm_a", runs=1,
                                seed=4, delta=1e-6,
                                params=dict(FAST, delta=1e-2))
-        loose = run_experiment(cfg)
-        tight = run_experiment(ExperimentConfig(
+        loose = run_matrix(["sine1"], ["mddm_a"], cfg).cells[0].result
+        tight = run_matrix(["sine1"], ["mddm_a"], ExperimentConfig(
             stream="sine1", detector="mddm_a", runs=1, seed=4, delta=1e-6,
-            params=dict(FAST)))
+            params=dict(FAST))).cells[0].result
         assert loose.aggregate.alarms_mean >= tight.aggregate.alarms_mean
 
     def test_csv_output_files(self, tmp_path):
         out = tmp_path / "runs.csv"
         cfg = ExperimentConfig(stream="sine1", detector="fhddm", runs=2,
-                               seed=1, params=dict(FAST), out=str(out))
-        run_experiment(cfg)
+                               seed=1, params=dict(FAST))
+        run_matrix([cfg.stream], [cfg.detector], cfg, out=str(out))
         rows = read_csv(out)
         assert rows[0] == list(RUN_CSV_FIELDS)
         assert len(rows) == 3
@@ -484,7 +487,7 @@ class TestDetectorTable:
     }
 
     def built(self, monkeypatch, detector, params):
-        """The detector run_experiment hands to its run, before the run."""
+        """The detector run_matrix hands to its one cell's run, before the run."""
         seen = []
         real = experiments.prequential_runs
 
@@ -493,9 +496,10 @@ class TestDetectorTable:
             return real(stream, detectors, **kwargs)
 
         monkeypatch.setattr(experiments, "prequential_runs", spy)
-        run_experiment(ExperimentConfig(stream="sine1", detector=detector, runs=1,
-                                        window_size=self.WINDOW,
-                                        params=dict(FAST, **params)))
+        run_matrix(["sine1"], [detector],
+                   ExperimentConfig(stream="sine1", detector=detector, runs=1,
+                                    window_size=self.WINDOW,
+                                    params=dict(FAST, **params)))
         return seen[0]
 
     def test_cases_cover_the_table(self):
@@ -574,11 +578,12 @@ class TestOutOfDomainValues:
         ("--out", "missing-dir"), ("--out", "a-dir"), ("--dump", "missing-dir")])
     def test_unwritable_output_path_is_usage_error(self, flag, where, tmp_path, capsys,
                                                    monkeypatch):
-        # --out is probed before any run: no stream is generated first.
+        # Both paths are probed before any work: no stream is generated first.
         calls = []
         real = experiments.generate_stream
-        monkeypatch.setattr(experiments, "generate_stream",
-                            lambda spec: calls.append(spec) or real(spec))
+        for module in (experiments, streams):
+            monkeypatch.setattr(module, "generate_stream",
+                                lambda spec: calls.append(spec) or real(spec))
         monkeypatch.setattr(experiments, "_cores", lambda: 1)
         path = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
         code = main(["--stream", "sine1", "--detector", "none", "--runs", "1",
@@ -587,6 +592,16 @@ class TestOutOfDomainValues:
         err = capsys.readouterr().err
         assert "internal error" not in err and str(path) in err
         assert calls == []
+
+    def test_dump_that_fails_to_generate_keeps_an_existing_file(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("kept\n")
+        # Five drifts are more than circles' four concepts allow.
+        spec = StreamSpec("circles", length=600, schedule=ConceptSchedule(
+            (100, 200, 300, 400, 500), 50))
+        with pytest.raises(UsageError, match="at most 3 drifts"):
+            dump_stream(spec, path)
+        assert path.read_text() == "kept\n"
 
     def test_window_longer_than_a_csv_stream_fails_its_cell(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -702,6 +717,15 @@ class TestOutOfDomainValues:
         assert main(["--stream", str(path), "--detector", "none", "--runs", "1"]) == 3
         err = capsys.readouterr().err
         assert "internal error" not in err and "line 3" in err
+
+    @pytest.mark.parametrize("label", ["c{}", "{}"])
+    def test_too_many_csv_classes_are_a_data_error(self, label, tmp_path, capsys):
+        # The 4097th class name, or code 4096, fails at its line.
+        path = tmp_path / "classes.csv"
+        path.write_text("x,label\n" + "".join(f"0.5,{label.format(i)}\n" for i in range(4097)))
+        assert main(["--stream", str(path), "--detector", "none", "--runs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "line 4098" in err and "'label'" in err
 
     @pytest.mark.parametrize("header,column", [
         ("a,label:nominal:1000000000000000", "label"),

@@ -1,6 +1,7 @@
 """Incremental Naive Bayes and the prequential loop."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -290,6 +291,69 @@ class TestPrequentialRun:
         assert fast.accuracy == slow_correct / n
         assert np.array_equal(fast.bits, np.array(slow_bits, dtype=bool))
         assert len(lengths) > 1 and (max(lengths) + m) * card <= learners._TABLE_CELLS
+
+    @staticmethod
+    def block_lengths(monkeypatch, stream, detector=None):
+        """The run's record and the length of each block it computed."""
+        lengths = []
+        block_bits = learners._block_bits
+        monkeypatch.setattr(learners, "_block_bits",
+                            lambda model, X, y: lengths.append(len(y)) or block_bits(model, X, y))
+        return prequential_run(stream, None, detector, keep_bits=True), lengths
+
+    @pytest.mark.parametrize("family,longest", [
+        ("sine1", _SCAN_SLICE), ("mixed", _SCAN_SLICE), ("circles", _SCAN_SLICE),
+        ("led", 2_720)])
+    def test_longest_block_of_each_family(self, monkeypatch, family, longest):
+        # Two classes leave full slices; led's ten classes are held by its
+        # 48-row table (131072 // 48 - 10), not by the class count.
+        stream = generate_stream(StreamSpec(family, length=12_000, seed=2))
+        _, lengths = self.block_lengths(monkeypatch, stream)
+        assert max(lengths) == longest
+
+    def test_many_classes_shorten_blocks(self, monkeypatch):
+        # 500 classes: each (classes, block) array stays within _TABLE_CELLS,
+        # and the shorter blocks still match the loop, resets included.
+        rng = np.random.default_rng(21)
+        m, n = 500, 3_000
+        x = rng.random(n)
+        y = np.where(rng.random(n) < 0.8, (x * m).astype(np.int64), rng.integers(0, m, n))
+        stream = Stream("classes", np.column_stack([x, rng.normal(size=n)]), y,
+                        make_schema([NUMERIC, NUMERIC], [0, 0], n_classes=m))
+        alarms = []
+        for make in (lambda: MDDM(Arithmetic(0.01), 25, 0.1), lambda: None):
+            fast, lengths = self.block_lengths(monkeypatch, stream, make())
+            slow_alarms, slow_correct, slow_bits = self.reference_loop(stream, make())
+            assert fast.alarms == tuple(slow_alarms)
+            assert fast.accuracy == slow_correct / n
+            assert np.array_equal(fast.bits, np.array(slow_bits, dtype=bool))
+            assert max(lengths) == learners._TABLE_CELLS // m
+            alarms.append(fast.alarms)
+        assert alarms[0] and not alarms[1]
+
+    def test_many_classes_stay_small(self):
+        # 2000 rows of 2000 distinct classes held 366 MB of (classes, block)
+        # arrays with blocks of a full slice.
+        n = 2_000
+        rng = np.random.default_rng(5)
+        stream = Stream("names", rng.random((n, 1)), np.arange(n),
+                        make_schema([NUMERIC], [0], n_classes=n))
+        tracemalloc.start()
+        try:
+            prequential_run(stream, None, MDDM(Arithmetic(0.01), 25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+    def test_header_only_csv_runs(self, tmp_path):
+        # No rows, no classes: the class count caps no block.
+        path = tmp_path / "empty.csv"
+        path.write_text("x,label\n")
+        stream = load_csv_stream(path)
+        assert stream.schema.n_classes == 0
+        record = prequential_run(stream, None, None)
+        assert record.alarms == () and record.accuracy == 0.0
 
     @pytest.mark.parametrize("bad", [-1, 3, math.nan])
     def test_out_of_range_nominal_code_rejected(self, bad):

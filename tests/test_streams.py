@@ -432,6 +432,20 @@ class TestCsvRoundTrip:
         with pytest.raises(DataFormatError, match="line 3"):
             load_csv_stream(path)
 
+    def test_code_of_many_digits_is_data_error(self, tmp_path):
+        # int() refuses strings over 4300 digits, leading zeros included.
+        path = tmp_path / "digits.csv"
+        path.write_text(f"x,label\n0.1,0\n0.2,{'9' * 5000}\n")
+        with pytest.raises(DataFormatError, match="line 3: label 9+ in column 'label'"):
+            load_csv_stream(path)
+        path.write_text(f"v:nominal:2,label\n0,0\n{'9' * 5000},1\n")
+        with pytest.raises(DataFormatError, match="line 3: column 'v'"):
+            load_csv_stream(path)
+        one = "0" * 5000 + "1"
+        path.write_text(f"v:nominal:2,label\n0,0\n{one},{one}\n")
+        stream = load_csv_stream(path)
+        assert stream.X.tolist() == [[0], [1]] and stream.y.tolist() == [0, 1]
+
     def test_label_code_above_row_count_rejected(self, tmp_path):
         path = tmp_path / "huge.csv"
         path.write_text("x,label\n0.1,0\n0.2,7\n0.3,1000000000000000\n0.4,1000000000000000\n")
@@ -525,15 +539,21 @@ class TestCsvRoundTrip:
         with pytest.raises(DataFormatError, match="line 3.*marked cardinality"):
             load_csv_stream(path)
 
-    @pytest.mark.parametrize("marked", ["v", "label", "unmarked"])
+    @pytest.mark.parametrize("marked", ["v", "label", "unmarked", "names", "codes"])
     def test_marked_cardinality_is_bounded(self, tmp_path, marked):
-        # An unmarked nominal column may hold as many distinct values as a
-        # mark may declare; the first value past them fails at its line.
+        # An unmarked nominal column may hold as many distinct values, and
+        # an unmarked label column as many classes, as a mark may declare;
+        # the first value or class past them fails at its line.
         path = tmp_path / "marked.csv"
         for card in (MAX_CARDINALITY, MAX_CARDINALITY + 1):
             if marked == "unmarked":
                 path.write_text("v,label\n" + "".join(f"id{i},{i % 2}\n" for i in range(card)))
                 line, column = card + 1, "v"
+            elif marked in ("names", "codes"):
+                label = "c{}" if marked == "names" else "{}"
+                path.write_text("v,label\n" + "".join(
+                    f"0.5,{label.format(i)}\n" for i in range(card)))
+                line, column = card + 1, "label"
             else:
                 header = ",".join(f"{name}:nominal:{card}" if name == marked else name
                                   for name in ("v", "label"))
@@ -542,6 +562,10 @@ class TestCsvRoundTrip:
             if card == MAX_CARDINALITY:
                 schema = load_csv_stream(path).schema
                 assert card in (schema.n_classes, *schema.cardinalities)
+            elif marked == "codes":
+                with pytest.raises(DataFormatError,
+                                   match=f"line {line}: label {card - 1} in column 'label'"):
+                    load_csv_stream(path)
             else:
                 with pytest.raises(DataFormatError, match=f"line {line}: column '{column}'"):
                     load_csv_stream(path)
