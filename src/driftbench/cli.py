@@ -4,7 +4,9 @@ Comma-separated ``--stream`` / ``--detector`` values form a matrix of
 cells; a single value of each runs one cell.  ``--dump PATH`` writes the
 synthetic stream to CSV instead of running experiments.  A config file
 (``--config``) supplies any flag as ``key=value`` lines (``#`` starts a
-comment); explicit flags win over the file.
+comment): each line becomes one ``--key=value`` argument ahead of the
+command line's own, and the one parser reads them all, so explicit flags
+win over the file and file ``set`` lines come before ``--set`` flags.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 internal error.
 """
@@ -33,8 +35,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
-_FLAGS = ("stream", "detector", "runs", "seed", "window-size", "delta",
-          "accept-delay", "noise", "policy", "out", "dump", "set", "config")
+# The flags that set ExperimentConfig fields of the same name.
+_CONFIG_FLAGS = ("runs", "seed", "window_size", "delta", "accept_delay", "noise", "policy")
 
 
 def _per_family(defaults: dict) -> str:
@@ -78,8 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_file(path) -> dict:
-    values = {}
+def _config_args(path, parser: argparse.ArgumentParser) -> list[str]:
+    """Each ``key=value`` line of the config file ``path`` as one
+    ``--key=value`` argument of ``parser``; ``key`` may use ``_`` for ``-``."""
+    known = {option for action in parser._actions if action.dest != "help"
+             for option in action.option_strings}
+    args = []
     try:
         with open(path, encoding="utf-8") as handle:
             for line_no, raw in enumerate(handle, start=1):
@@ -89,17 +95,14 @@ def _read_config_file(path) -> dict:
                 if "=" not in line:
                     raise UsageError(
                         f"{path}: line {line_no}: expected key=value, got {raw!r}")
-                key, value = line.split("=", 1)
-                key = key.strip().replace("-", "_")
-                if key.replace("_", "-") not in _FLAGS:
+                key, value = (part.strip() for part in line.split("=", 1))
+                flag = "--" + key.replace("_", "-")
+                if flag not in known:
                     raise UsageError(f"{path}: line {line_no}: unknown key {key!r}")
-                if key == "set":
-                    values.setdefault("set", []).append(value.strip())
-                else:
-                    values[key] = value.strip()
+                args.append(f"{flag}={value}")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    return values
+    return args
 
 
 def _parse_set_args(pairs) -> dict:
@@ -118,33 +121,15 @@ def _parse_set_args(pairs) -> dict:
     return params
 
 
-_CASTS = {"runs": int, "seed": int, "window_size": int, "delta": float,
-          "accept_delay": int, "noise": float}
-_CONFIG_FLAGS = (*_CASTS, "policy")
-
-
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    if not args.config:
-        return args
-    file_values = _read_config_file(args.config)
-    for key, value in file_values.items():
-        if key == "set":
-            merged = list(value) + list(args.set or [])
-            args.set = merged
-        elif getattr(args, key, None) is None:
-            cast = _CASTS.get(key, str)
-            try:
-                setattr(args, key, cast(value))
-            except ValueError as exc:
-                raise UsageError(f"config {key}: bad value {value!r}") from exc
-    return args
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        if args.config:
+            # The command line's own --config comes last and wins, so a
+            # config line in the file is never read.
+            args = parser.parse_args(_config_args(args.config, parser) + argv)
         params = _parse_set_args(args.set)
 
         # Flags left unset take ExperimentConfig's defaults.

@@ -36,11 +36,9 @@ from .detectors import ADWIN, CUSUM, DDM, EDDM, MDDM, RDDM, Arithmetic, Euler, G
 from .detectors.mddm import DEFAULT_DELTA
 from .errors import DataFormatError, UsageError, as_int, open_output
 from .evaluation import AggregateRow, DriftScore, aggregate, score_run, unscored_row
-from .learners import prequential_runs
-from .streams import (DEFAULT_LENGTH, DEFAULT_NOISE, Stream, StreamSpec, default_schedule,
-                      generate_stream, load_csv_stream)
-
-SYNTHETIC_FAMILIES = ("sine1", "mixed", "circles", "led")
+from .learners import _parse_policy, prequential_runs
+from .streams import (DEFAULT_LENGTH, DEFAULT_NOISE, FAMILIES, Stream, StreamSpec,
+                      default_schedule, generate_stream, load_csv_stream)
 
 # Window sizes and acceptable delays per stream family; wider windows and
 # delays suit the gradually drifting streams, CSV streams behave like the
@@ -112,7 +110,8 @@ class ExperimentConfig:
     def __post_init__(self):
         name = self.detector.lower()
         object.__setattr__(self, "detector", name)
-        if self.policy.startswith("blind") and name != "none":
+        kind, _ = _parse_policy(self.policy)
+        if kind == "blind" and name != "none":
             raise UsageError("the blind policy runs without a detector; "
                              "use --detector none")
         if name not in DETECTORS:
@@ -136,7 +135,7 @@ class ExperimentConfig:
 
     @property
     def is_csv(self) -> bool:
-        return self.stream.lower() not in SYNTHETIC_FAMILIES
+        return self.stream.lower() not in FAMILIES
 
 
 @dataclass(frozen=True)

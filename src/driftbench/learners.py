@@ -219,13 +219,13 @@ def _nominal_scores(model: NaiveBayes, X: np.ndarray, y: np.ndarray,
 
 
 def _parse_policy(policy: str):
-    if policy == "reset":
-        return "reset", 0
-    if policy == "none":
-        return "none", 0
-    if policy.startswith("blind:"):
+    """``(kind, period)`` of a policy string; a bad one is a usage error."""
+    if policy in ("reset", "none"):
+        return policy, 0
+    kind, colon, period = policy.partition(":")
+    if kind == "blind" and colon:
         try:
-            period = int(policy.split(":", 1)[1])
+            period = int(period)
         except ValueError:
             period = 0
         if period < 1:

@@ -70,7 +70,10 @@ _PIECE = 4096
 # values or class names an unmarked CSV column may hold.  Naive Bayes sizes
 # its per-class arrays by the class count and keeps a (classes, k) count
 # table per nominal attribute, so more is a data error rather than failing
-# to allocate.  Every code is below it, so int16 holds all-nominal X.
+# to allocate.  Every code is below it, so int16 holds all-nominal X.  The
+# count tables together hold classes x (sum of nominal cardinalities)
+# cells, at most MAX_CARDINALITY ** 2 (128 MB): one attribute at the
+# largest cardinality and class count.
 MAX_CARDINALITY = 4096
 DEFAULT_NOISE = 0.10
 
@@ -138,6 +141,8 @@ class ConceptSchedule:
 # (sine1/mixed) and gradual (circles/led).
 _STOCK_SCHEDULES = {"sine1": (20_000, 50), "mixed": (20_000, 50),
                     "circles": (25_000, 500), "led": (25_000, 500)}
+# The synthetic stream families, one stock schedule each.
+FAMILIES = tuple(_STOCK_SCHEDULES)
 
 
 def default_schedule(family: str, length: int, every: Optional[int] = None,
@@ -168,7 +173,7 @@ class StreamSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", self.family.lower())
-        if self.family not in ("sine1", "mixed", "circles", "led"):
+        if self.family not in FAMILIES:
             raise UsageError(f"unknown stream family {self.family!r}")
         if not 1 <= self.length <= MAX_LENGTH:
             raise UsageError(
@@ -419,7 +424,9 @@ def load_csv_stream(path) -> Stream:
     and the label column has ``k`` classes, even when some codes never
     occur in the file.  Marked values are taken verbatim; anything else
     in a marked column is a :class:`DataFormatError`, and so is a ``k``
-    above :data:`MAX_CARDINALITY`.
+    above :data:`MAX_CARDINALITY`.  So is a file whose class count times
+    the sum of its nominal cardinalities, the cells of the learner's count
+    tables, exceeds ``MAX_CARDINALITY ** 2``.
 
     Blank rows are skipped, a header-only file is an empty stream, and
     an error in a data row names its line.  ``X`` takes the dtype that
@@ -512,6 +519,10 @@ def load_csv_stream(path) -> Stream:
     cards = tuple((card or len(values)) if kind == NOMINAL else 0
                   for kind, card, values in zip(kinds, marked, codes))
     n_classes = max(max(labels, default=-1) + 1, label_mark)
+    if (counts := n_classes * sum(cards)) > MAX_CARDINALITY ** 2:
+        raise DataFormatError(
+            f"{path}: {n_classes} classes x {sum(cards)} nominal values need {counts} "
+            f"Naive Bayes counts, above the largest supported, {MAX_CARDINALITY ** 2}")
     return Stream(name=path.stem,
                   X=np.concatenate(pieces),
                   y=np.array(labels, dtype=np.int64),
@@ -555,8 +566,8 @@ def _marked_code(path: Path, line: int, column: str, value: str, card: int) -> i
         f"marked cardinality {card}")
 
 
-def dump_stream(spec, path) -> None:
-    """Write a synthetic stream (or an already materialised one) to CSV.
+def dump_stream(spec: StreamSpec, path) -> None:
+    """Write the synthetic stream of ``spec`` to CSV.
 
     Numeric attributes use shortest round-trip formatting so a reload
     reproduces them exactly; nominal attributes and labels are written
@@ -566,7 +577,7 @@ def dump_stream(spec, path) -> None:
     value).  Identical specs produce byte-identical files.
     """
     open_output(path, "a").close()  # fail before generating, truncating nothing
-    stream = generate_stream(spec) if isinstance(spec, StreamSpec) else spec
+    stream = generate_stream(spec)
     schema = stream.schema
     kinds = schema.kinds
     with open_output(path) as handle:

@@ -17,14 +17,28 @@ import pytest
 from driftbench import (ADWIN, CUSUM, DDM, EDDM, MDDM, RDDM, Arithmetic, ConceptSchedule,
                         DataFormatError, Euler, ExperimentConfig, Geometric, PageHinkley,
                         StreamSpec, UsageError, dump_stream, fhddm, run_matrix)
-from driftbench import (NaiveBayes, aggregate, experiments, generate_stream, prequential_run,
-                        score_run, streams)
+from driftbench import (NaiveBayes, aggregate, experiments, generate_stream,
+                        load_csv_stream, prequential_run, score_run, streams)
 from driftbench.cli import main
 from driftbench.experiments import (ACCEPT_DELAY_DEFAULTS, AGG_CSV_FIELDS, DETECTORS,
                                     RUN_CSV_FIELDS, WINDOW_DEFAULTS, RunResult,
                                     write_aggregate_csv, write_run_csv)
 
 FAST = {"length": 2_000}
+
+
+def run_capped(args):
+    """The CLI on ``args`` in a child process whose address space is
+    capped at 2 GB, so an unaffordable allocation fails at once."""
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+             "from driftbench.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", child, *args],
+                          env=env, capture_output=True, text=True, timeout=60)
 
 
 def read_csv(path):
@@ -416,6 +430,58 @@ class TestCli:
         config.write_text("nonsense=1\n")
         assert main(["--config", str(config)]) == 2
 
+    def test_bad_config_value_is_argparse_usage_error(self, tmp_path, capsys):
+        # File values go through the flags' parser, which exits 2 itself.
+        config = tmp_path / "exp.conf"
+        config.write_text("stream=sine1\nruns=abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(config)])
+        assert exc.value.code == 2
+        assert "--runs: invalid int value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["window_size", "window-size"])
+    def test_config_key_takes_underscores_or_dashes(self, key, tmp_path, capsys):
+        config = tmp_path / "exp.conf"
+        config.write_text(f"stream=sine1\ndetector=mddm_a\nruns=1\nset=length=2000\n"
+                          f"{key}=2001\n")
+        assert main(["--config", str(config)]) == 2
+        assert "window size 2001 is longer than the stream" in capsys.readouterr().err
+        assert main(["--config", str(config), "--window-size", "2000"]) == 0
+
+    def test_config_set_comes_before_set_flags(self, tmp_path):
+        config = tmp_path / "exp.conf"
+        config.write_text("stream=sine1\nset=length=50\n")
+        path = tmp_path / "dump.csv"
+        assert main(["--config", str(config), "--dump", str(path)]) == 0
+        assert len(read_csv(path)) == 51
+        assert main(["--config", str(config), "--dump", str(path),
+                     "--set", "length=30"]) == 0
+        assert len(read_csv(path)) == 31
+
+    def test_config_line_in_a_config_file_is_not_read(self, tmp_path):
+        config, other = tmp_path / "exp.conf", tmp_path / "other.conf"
+        other.write_text("nonsense=1\n")
+        path = tmp_path / "dump.csv"
+        for target in (other, config):
+            config.write_text(f"stream=sine1\nset=length=20\nconfig={target}\n")
+            assert main(["--config", str(config), "--dump", str(path)]) == 0
+            assert len(read_csv(path)) == 21
+
+    @pytest.mark.parametrize("policy", ["bogus", "blind:0", "blind"])
+    def test_bad_policy_exits_2_before_any_stream(self, policy, capsys, monkeypatch):
+        calls = []
+        real = experiments.generate_stream
+        for module in (experiments, streams):
+            monkeypatch.setattr(module, "generate_stream",
+                                lambda spec: calls.append(spec) or real(spec))
+        monkeypatch.setattr(experiments, "_cores", lambda: 1)
+        code = main(["--stream", "sine1", "--detector", "none", "--runs", "2",
+                     "--policy", policy, "--set", "length=10000000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and repr(policy) in err
+        assert calls == []
+
     def test_blind_policy_via_cli(self, capsys):
         code = main(["--stream", "sine1", "--detector", "none", "--runs", "1",
                      "--seed", "2", "--policy", "blind:500",
@@ -674,17 +740,9 @@ class TestOutOfDomainValues:
         # The length is checked before the default schedule enumerates its
         # drift positions; the address-space cap turns a regression into a
         # quick MemoryError instead of a run that eats the machine.
-        child = ("import resource, sys\n"
-                 "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-                 "from driftbench.cli import main\n"
-                 "sys.exit(main(sys.argv[1:]))\n")
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         started = time.monotonic()
-        done = subprocess.run([sys.executable, "-c", child, "--stream", "sine1",
-                               "--detector", "none", "--runs", "1", "--set", "length=1e13"],
-                              env=env, capture_output=True, text=True, timeout=60)
+        done = run_capped(["--stream", "sine1", "--detector", "none", "--runs", "1",
+                           "--set", "length=1e13"])
         assert done.returncode == 2, done.stderr
         assert "stream length" in done.stderr
         assert time.monotonic() - started < 20
@@ -738,6 +796,26 @@ class TestOutOfDomainValues:
         assert main(["--stream", str(path), "--detector", "none", "--runs", "1"]) == 3
         err = capsys.readouterr().err
         assert "internal error" not in err and f"line 1: column {column!r}" in err
+
+    def test_unaffordable_count_tables_are_a_data_error(self, tmp_path):
+        # 4096 classes x 24 attributes of 4096 values: the count tables
+        # alone would take 3.2 GB, which used to end in a MemoryError.
+        path = tmp_path / "wide.csv"
+        header = ",".join(f"a{j}:nominal:4096" for j in range(24)) + ",label:nominal:4096"
+        path.write_text(header + "\n" + ",".join(["7"] * 25) + "\n")
+        done = run_capped(["--stream", str(path), "--detector", "none", "--runs", "1"])
+        assert done.returncode == 3, done.stderr
+        assert "internal error" not in done.stderr and str(path) in done.stderr
+        assert "402653184 Naive Bayes counts" in done.stderr
+
+    def test_count_tables_at_the_bound_load(self, tmp_path):
+        path = tmp_path / "bound.csv"
+        path.write_text("a:nominal:4096,label:nominal:4096\n4095,4095\n0,0\n")
+        schema = load_csv_stream(path).schema
+        assert schema.cardinalities == (4096,) and schema.n_classes == 4096
+        path.write_text("a:nominal:4096,b,label:nominal:4096\n4095,x,4095\n")
+        with pytest.raises(DataFormatError, match=str(path)):
+            load_csv_stream(path)
 
     def test_non_finite_csv_value_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"

@@ -531,7 +531,7 @@ class TestAttributeDtype:
                           schedule=ConceptSchedule((2_500, 6_000), 500))
         stream = generate_stream(spec)
         if source == "csv":
-            dump_stream(stream, tmp_path / "led.csv")
+            dump_stream(spec, tmp_path / "led.csv")
             stream = load_csv_stream(tmp_path / "led.csv")
         assert stream.X.dtype == np.int16
         wide = replace(stream, X=stream.X.astype(np.float64))
