@@ -34,6 +34,12 @@ class CUSUM(DriftDetector):
     historical mean builds toward ``threshold``.  Verdicts are held back
     for the first ``min_instances`` observations.  Lower slack detects
     faster at the price of more false alarms.  Never emits WARNING.
+
+    g is m_T - min(0, min m_t) for the sums m_t of the increments, and with
+    slack >= 0 the first increment, -slack, is never positive, so that is
+    Page-Hinkley's statistic, summed in another order: with threshold >=
+    ``min_instances`` (g grows by at most 1 a bit) the two alarm at the
+    same bits, up to rounding at a tie.
     """
 
     name = "cusum"
@@ -76,6 +82,11 @@ class PageHinkley(DriftDetector):
     running mean (minus a slack), keeps the minimum of that cumulative
     statistic, and alarms when the statistic rises more than
     ``threshold`` above its minimum.  Never emits WARNING.
+
+    With slack >= 0 this is CUSUM's test: the first increment, -slack, is
+    never positive, so m_T - min m_t equals CUSUM's g, and with
+    threshold >= 30 (CUSUM's default ``min_instances``) the two alarm at
+    the same bits, up to rounding at a tie.
     """
 
     name = "page_hinkley"
@@ -325,16 +336,15 @@ class RDDM(DDM):
         return i
 
 
-# ADWIN certifies the splits of its whole window once per _EPOCH bits and
-# the survivors once per _BATCH bits, and tests at most _GRID (step, split)
-# pairs at a time.  The sizes trade passes over the window against the
-# size of the temporaries, which _GRID keeps at 64 KB: with temporaries of
-# 128 KB and more, the allocator returned and refetched their pages on
-# every test, which made a step on a 20k-bit window several times slower.
-# None of the sizes changes a verdict.
+# ADWIN certifies its window's splits once per _EPOCH bits and the rest once
+# per _BATCH bits, and grids at most _GRID (step, split) cells at a time,
+# 64 KB: with temporaries of 128 KB and more, the allocator returned and
+# refetched their pages on every test, which made a step on a 20k-bit window
+# several times slower.  None of the sizes changes a verdict.
 _EPOCH = 1024
 _BATCH = 64
 _GRID = 1 << 13
+_SCALES: dict[float, np.ndarray] = {}  # delta -> ADWIN's table of scale(n), see _scale_table
 
 
 def _significant(prefix, total, inv0, inv1, scale):
@@ -370,30 +380,30 @@ class ADWIN(DriftDetector):
     ``max_window`` are bookkeeping, not alarms.  Splits are checked at
     stride 1 with no bucket compression.
 
-    :meth:`scan` looks ahead at the bits it is given.  A split of the window is certified safe for the
-    next S bits when
+    :meth:`scan` looks ahead at the bits it is given.  Multiplied out, the
+    split of an n-bit window with mean c after its k oldest bits, which
+    hold P ones, is significant iff
 
-        |mu0 - mu1| + min((D + S |mu1 - c|) / n1, S / (n1 + S)) [+ S / (n0 - S)]
-            < sqrt(scale(n) (1/n0 + 1/(n1 + S))) (1 - margin)
+        (P - k c)**2 >= thr**2 = scale(n) k (n - k) / n,  scale(n) = ln(4 n / delta) / 4.
 
-    with scale(n) = ln(4 n / delta) / 4, c the window mean, and
-    D = max_s |A_s - s c| over those bits, A_s being the ones among the
-    first s of them.  The left side bounds how far the split's mean
-    difference can move while the bits are appended (the bracketed term
-    covers the bits the window sheds at ``max_window``); the right side
-    bounds its threshold from below, because n never shrinks and n0
-    never grows before a split fires; the margin covers the rounding of
-    the squared test.  The whole window is certified for the next 1024
-    bits, the survivors again for each 64 of them, and only the splits
-    still left and those the 64 bits add are tested, step by step, with
-    the exact squared test.  So the verdicts are those of testing every
-    split after every bit, with no significant split left in the window
-    after a step, at a fraction of the cost.  While no step of a 64-bit
-    batch sheds at ``max_window``, its steps share the window's start, so
-    each split's older part is computed once for the batch, not per step.
-    scale(n) is read from a table indexed by n that grows with the window
-    (never past ``max_window``) and that :meth:`reset` keeps, since it
-    depends on ``delta`` alone.
+    Until a split fires the window only grows or, at ``max_window``, sheds
+    its oldest bits, which are staged: r_s shed bits holding E_s ones make
+    P - k c into P - k c_s - w_s at look-ahead step s, with c_s the window
+    mean and w_s = E_s - r_s c_s.  thr never falls as n grows, so with thr
+    at today's n and at the k nearest an end that the steps reach, a split
+    is safe while k c_s + w_s stays strictly inside (P - thr, P + thr).
+    This certifies the window's splits for the next 1024 bits, and the
+    rest and the splits those bits add for each 64.  The splits left, with
+    those each 64 bits add, go to a grid of (step, split) cells, where the
+    bridge form flags the cells near or past their threshold and only
+    those get the exact squared test of every split after every bit, so
+    the verdicts are those of the full test.  Rounding: P, k, n and the
+    ones counts are exact in float64 and thr is at least 1/2, so near a
+    threshold the computed bridge form and the exact test each err by a
+    few n 2**-53 relative to thr.  thr is shrunk by the factor
+    1 - 1e-9 - n 2**-48, n the epoch's largest window (squared in the
+    grid): a certified split never passes the exact test, and a cell that
+    passes it is always flagged.
     """
 
     name = "adwin"
@@ -403,7 +413,7 @@ class ADWIN(DriftDetector):
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
         self.delta = float(delta)
         self.max_window = as_int("max_window", max_window, minimum=2)
-        self._scales = np.array([-math.inf])  # see _scale_table; scale(0) = ln(0) / 4
+        self._scales = _SCALES.setdefault(self.delta, np.array([-math.inf]))  # scale(0) = ln(0)/4
         self.reset()
 
     def reset(self) -> None:
@@ -421,19 +431,14 @@ class ADWIN(DriftDetector):
         return np.diff(self._totals[self._lo:self._hi + 1]).astype(np.int64)
 
     def _scale_table(self, top: int) -> np.ndarray:
-        """The table of scale(n) = ln(4 n / delta) / 4 for windows of n bits,
-        index n, grown to cover ``top`` (doubling, up to ``max_window``)."""
-        table = self._scales
+        """The shared table of scale(n) = ln(4 n / delta) / 4 at index n (an unpickled
+        instance's own if there is none), grown to cover ``top`` up to ``max_window``."""
+        table = self._scales = _SCALES.setdefault(self.delta, self._scales)
         if top >= table.size:
             size = min(max(top + 1, 2 * table.size), self.max_window + 1)
-            log, delta = math.log, self.delta
-            grown = [log(4.0 * n / delta) * 0.25 for n in range(table.size, size)]
-            self._scales = table = np.concatenate([table, grown])
+            grown = [math.log(4.0 * n / self.delta) * 0.25 for n in range(table.size, size)]
+            _SCALES[self.delta] = self._scales = table = np.concatenate([table, grown])
         return table
-
-    def _scale(self, n: int) -> float:
-        """scale(n) for a window of n bits."""
-        return self._scale_table(n)[n]
 
     def scan(self, bits) -> Optional[int]:
         """Look-ahead :meth:`DriftDetector.scan`; same verdicts as testing
@@ -449,20 +454,21 @@ class ADWIN(DriftDetector):
                     return done
                 done += 1
                 continue
-            doubtful = self._uncertified(np.arange(self._lo + 1, self._hi), size)
+            look = self._look_ahead(size)
+            doubtful = self._uncertified(np.arange(self._lo + 1, self._hi), look, -1, -1)
             fresh = self._hi  # the first split this epoch adds
-            for offset in range(0, size, _BATCH):
-                width = min(_BATCH, size - offset)
+            for batch, offset in enumerate(range(0, size, _BATCH)):
+                steps = slice(offset, min(offset + _BATCH, size))
                 lo, hi = self._lo, self._hi
                 cuts = np.concatenate([doubtful[doubtful > lo], np.arange(max(fresh, lo + 1), hi)])
-                cuts = np.concatenate([self._uncertified(cuts, width),
-                                       np.arange(hi, hi + width)])
-                fired = self._first_firing_step(cuts, width)
+                cuts = np.concatenate([self._uncertified(cuts, look, batch, steps.stop - 1),
+                                       np.arange(hi, hi + steps.stop - offset)])
+                fired = self._first_firing_step(cuts, look, steps)
                 if fired:
                     self._advance(fired)
                     self._shed()
                     return done + offset + fired - 1
-                self._advance(width)
+                self._advance(steps.stop - offset)
             done += size
         return None
 
@@ -486,57 +492,60 @@ class ADWIN(DriftDetector):
         self._lo = lo + max(0, hi - lo + steps - self.max_window)
         self._hi = hi + steps
 
-    def _uncertified(self, cuts: np.ndarray, size: int) -> np.ndarray:
-        """The splits among ``cuts`` that the class docstring's bound cannot
-        certify safe for the next ``size`` staged bits."""
+    def _look_ahead(self, size: int) -> tuple:
+        """Window start, end, mean c_s, scale, n and grid bound at each of the next ``size``
+        staged steps were no split to fire; the margin; c_s and w_s spans per batch and all."""
+        totals, lo, hi = self._totals, self._lo, self._hi
+        his = np.arange(hi + 1, hi + size + 1)
+        los = lo + np.maximum(0, his - lo - self.max_window)
+        ns = his - los
+        means = (totals[his] - totals[los]) / ns
+        both = np.stack([means, totals[los] - totals[los[0]] - (los - los[0]) * means])
+        starts = np.arange(0, size, _BATCH)
+        low, high = np.minimum.reduceat(both, starts, 1), np.maximum.reduceat(both, starts, 1)
+        spans = np.concatenate([low, high]).T.tolist()  # [min c, min w, max c, max w]
+        spans.append([low[0].min(), low[1].min(), high[0].max(), high[1].max()])
+        scales = self._scale_table(int(ns[-1]))[ns]
+        keep = 1.0 - 1e-9 - int(ns[-1]) * 2.0 ** -48  # the rounding margin
+        return los, his, means, scales, ns.astype(np.float64), scales / ns * keep ** 2, keep, spans
+
+    def _uncertified(self, cuts: np.ndarray, look: tuple, batch: int, last: int) -> np.ndarray:
+        """The splits among ``cuts`` that the class docstring's interval cannot
+        certify safe for ``look``'s ``batch`` (-1: all steps), up to step ``last``."""
         if cuts.size == 0:
             return cuts
-        totals, lo, hi = self._totals, self._lo, self._hi
-        n = hi - lo
-        total = totals[hi] - totals[lo]
-        prefix = totals[cuts] - totals[lo]
-        n0 = (cuts - lo).astype(np.float64)
-        n1 = n - n0
-        mean = total / n
-        mu1 = (total - prefix) / n1
-        ones = totals[hi + 1:hi + size + 1] - totals[hi]
-        wander = np.abs(ones - mean * np.arange(1.0, size + 1.0)).max()
-        slack = np.minimum((wander + size * np.abs(mu1 - mean)) / n1,
-                           size / (n1 + size))
-        if n + size > self.max_window:
-            slack += np.where(n0 > size, size / np.maximum(n0 - size, 1.0), np.inf)
-        bound = np.sqrt(self._scale(n) * (1.0 / n0 + 1.0 / (n1 + size)))
-        # The squared test's cancellation error grows like n * 2**-53.
-        bound *= 1.0 - 1e-9 - n * 2.0 ** -48
-        return cuts[np.abs(prefix / n0 - mu1) + slack >= bound]
+        los, keep, (c0, w0, c1, w1) = look[0], look[6], look[7][batch]
+        totals, lo, n = self._totals, self._lo, self._hi - self._lo
+        k = cuts - lo
+        near = np.minimum(np.maximum(k - (los[last] - lo), 1), n - k)  # the k nearest an end
+        thr = np.sqrt(near * (n - near) * (self._scale_table(n)[n] / n * keep ** 2))
+        k += lo - los[0]  # P, k and w_s from the look-ahead's first start
+        reach = np.abs(totals[cuts] - (totals[los[0]] + (w0 + w1) / 2) - k * ((c0 + c1) / 2))
+        reach += k * ((c1 - c0) / 2) + (w1 - w0) / 2  # how far from P k c_s + w_s may get
+        return cuts[reach >= thr]
 
-    def _first_firing_step(self, cuts: np.ndarray, size: int) -> int:
-        """The first of the next ``size`` steps (1-based) at which one of
-        ``cuts`` is a significant split, or 0 if none is."""
-        totals, lo, hi = self._totals, self._lo, self._hi
-        steps = np.arange(1, size + 1)
-        his = hi + steps
-        los = lo + np.maximum(0, hi - lo + steps - self.max_window)
-        ns = his - los
-        scales = self._scale_table(int(ns[-1]))[ns]
-        # While no step sheds, every step shares the window's start, so
-        # the older parts (base, n0, 1/n0) are one row, not one per step.
-        shared = los[-1] == lo
-        rows = size  # the steps before the first firing one found so far
-        width = max(1, _GRID // size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for start in range(0, cuts.size, width):
-                block = cuts[start:start + width]
-                row_lo, row_hi = (lo if shared else los[:rows, None]), his[:rows, None]
-                n0, n1 = block - row_lo, row_hi - block
-                base = totals[row_lo]
-                hits = _significant(totals[block] - base, totals[row_hi] - base,
-                                    1.0 / n0, 1.0 / n1, scales[:rows, None])
-                hits &= (n0 > 0) & (n1 > 0)
-                fired = hits.any(axis=1)
-                if fired.any():
-                    rows = int(fired.argmax())
-        return rows + 1 if rows < size else 0
+    def _first_firing_step(self, cuts: np.ndarray, look: tuple, steps: slice) -> int:
+        """The first of ``look``'s ``steps`` (1-based) at which one of ``cuts``
+        is a significant split, or 0 if none is."""
+        los, his, means, scales, ns, bounds = (column[steps] for column in look[:6])
+        totals, shared = self._totals, los[-1] == los[0]  # shared: P and k are one row
+        rows, width = his.size, max(1, _GRID // his.size)  # rows: the steps before a firing one
+        for start in range(0, cuts.size, width):
+            block = cuts[start:start + width]
+            row_lo = los[0] if shared else los[:rows, None]
+            k = (block - row_lo).astype(np.float64)
+            bridge = totals[block] - totals[row_lo] - k * means[:rows, None]
+            bridge *= bridge
+            k = k * (ns[:rows, None] - k)  # k (n - k), below 1 off the window
+            flagged = (bridge >= bounds[:rows, None] * k) & (k > 0)
+            if flagged.any():  # the exact test, on the flagged cells only
+                step, col = flagged.nonzero()
+                low, high, cut = los[step], his[step], block[col]
+                hits = _significant(totals[cut] - totals[low], totals[high] - totals[low],
+                                    1.0 / (cut - low), 1.0 / (high - cut), scales[step])
+                if hits.any():
+                    rows = int(step[hits.argmax()])
+        return rows + 1 if rows < his.size else 0
 
     def _shed(self) -> bool:
         """Drop the older part at the first significant split while one
@@ -553,7 +562,7 @@ class ADWIN(DriftDetector):
         n = hi - lo
         if n < 2:
             return None
-        scale = self._scale(n)
+        scale = self._scale_table(n)[n]
         base = totals[lo]
         total = totals[hi] - base
         inv = self._inv

@@ -2,8 +2,10 @@
 
 import math
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from driftbench import (ADWIN, CUSUM, DDM, EDDM, RDDM, NaiveBayes, PageHinkley, StreamSpec,
                         Verdict, generate_stream, prequential_run)
+from driftbench.detectors import baselines
 from driftbench.detectors.base import DriftDetector
 
 ALL_DETECTORS = [
@@ -206,6 +209,30 @@ def piecewise_bernoulli(rng, length):
     return (rng.random(length) < rates[segment]).astype(np.int64)
 
 
+def tie_deltas(window, max_window):
+    """The two adjacent deltas between which the first significant split of
+    ``window`` starts to fire, found where ln(4N/delta)/4 meets its
+    (P - k c)**2 N / (k (N - k)): (the smallest that fires, the next below)."""
+    n = window.size
+    prefix = np.concatenate([[0], np.cumsum(window)]).astype(np.int64)
+    total = int(prefix[-1])
+    stat = max(Fraction((int(prefix[k]) * n - k * total) ** 2, n * k * (n - k))
+               for k in range(1, n))
+    guess = 4.0 * n * math.exp(-4.0 * float(stat))
+
+    def fires(bits):  # the reference's own test, at the delta with these float bits
+        ref = StrideOneAdwin(float(np.int64(bits).view(np.float64)), max_window)
+        ref._totals, ref._hi = prefix.astype(np.float64), n
+        return ref._first_significant_cut() >= 0
+
+    quiet, fire = (np.float64(guess * f).view(np.int64) for f in (1 - 1e-9, 1 + 1e-9))
+    assert not fires(quiet) and fires(fire)
+    while fire - quiet > 1:
+        mid = (quiet + fire) // 2
+        quiet, fire = (quiet, mid) if fires(mid) else (mid, fire)
+    return tuple(float(np.int64(b).view(np.float64)) for b in (fire, quiet))
+
+
 # --- shared properties ----------------------------------------------------
 
 @pytest.mark.parametrize("make", ALL_DETECTORS)
@@ -273,6 +300,15 @@ class TestPageHinkley:
         expected = page_hinkley_oracle_first_drift(errors)
         assert expected is not None and expected > 1000
         assert first_drift(PageHinkley(), bits) == expected
+
+    @pytest.mark.parametrize("slack,threshold", [(0.0, 30.0), (0.005, 50.0), (0.05, 40.0)])
+    def test_same_alarms_as_cusum(self, slack, threshold):
+        """With slack >= 0 the first increment, -slack, is never positive, so
+        m_T - min m_t is CUSUM's g; threshold >= 30 covers CUSUM's gate."""
+        rng = np.random.default_rng([int(slack * 1000), int(threshold)])
+        bits = piecewise_bernoulli(rng, 30_000)
+        want = CUSUM(slack, threshold).drift_points(bits)
+        assert want and PageHinkley(slack, threshold).drift_points(bits) == want
 
     def test_minimum_below_cumulative(self):
         det = PageHinkley()
@@ -490,6 +526,55 @@ class TestAdwin:
         assert det._scales is table
         want = StrideOneAdwin(0.002, 100).drift_points(bits)
         assert det.drift_points(bits) == ADWIN(0.002, 100).drift_points(bits) == want
+
+    @pytest.mark.parametrize("max_window,before,after,seed", [
+        (32768, 0.85, 0.5, 0), (32768, 0.85, 0.5, 1), (300, 0.8, 0.45, 3), (300, 0.8, 0.45, 8)])
+    def test_near_tie_scans_match_stride_one_reference(self, max_window, before, after, seed):
+        """The first split to fire sits on its threshold, one float step on
+        either side, in the growing and the ``max_window`` regime.  Random
+        streams almost never come this close, so these cases pin the grid's
+        rounding margin: without it, every one of them fails."""
+        rng = np.random.default_rng([max_window, seed])
+        bits = np.concatenate([rng.random(1200) < before, rng.random(1300) < after])
+        bits = bits.astype(np.int64)
+        ref = StrideOneAdwin(0.002, max_window)
+        tie = next(i for i, b in enumerate(bits) if ref.step(b) is Verdict.DRIFT)
+        assert (tie >= max_window) == (max_window < bits.size)  # the window is pinned there
+        fire, quiet = tie_deltas(bits[max(0, tie + 1 - max_window):tie + 1], max_window)
+        assert StrideOneAdwin(fire, max_window).scan(bits) == tie
+        assert StrideOneAdwin(quiet, max_window).scan(bits) != tie
+        for delta in (fire, quiet):
+            for chunk in (1, 64, 1024):
+                det, ref = ADWIN(delta, max_window), StrideOneAdwin(delta, max_window)
+                start = 0
+                while start < bits.size:
+                    hit = det.scan(bits[start:start + chunk])
+                    assert hit == ref.scan(bits[start:start + chunk]), (delta, chunk, start)
+                    start += chunk if hit is None else hit + 1
+                    assert np.array_equal(det.window, ref.window), (delta, chunk, start)
+
+    def test_long_pinned_window_matches_stride_one_reference(self):
+        """12k stationary bits keep a 4096-bit window pinned at max_window
+        for about 8k steps."""
+        bits = (np.random.default_rng(12).random(12_000) < 0.9).astype(np.int64)
+        det, ref = ADWIN(0.002, 4096), StrideOneAdwin(0.002, 4096)
+        start = 0
+        for chunk in [1024, 1000, 64, 1025, 1, 4096] * 3:
+            hit = det.scan(bits[start:start + chunk])
+            assert hit == ref.scan(bits[start:start + chunk]), start
+            start += chunk if hit is None else hit + 1
+            assert np.array_equal(det.window, ref.window), start
+        assert start >= bits.size and len(det) == 4096
+
+    def test_unpickled_instance_brings_its_scale_table(self, monkeypatch):
+        """Unpickled where no ADWIN with its delta was built, as in a fresh
+        process, an instance scans on with the table it brought."""
+        bits = piecewise_bernoulli(np.random.default_rng(5), 3000)
+        det = ADWIN(0.0123)
+        det.scan(bits[:1000])
+        blob = pickle.dumps(det)
+        monkeypatch.setattr(baselines, "_SCALES", {})
+        assert pickle.loads(blob).drift_points(bits[1000:]) == det.drift_points(bits[1000:])
 
     def test_scan_takes_any_iterable(self):
         bits = [1] * 600 + [0] * 200
