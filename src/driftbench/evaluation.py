@@ -13,6 +13,7 @@ deviation, with a single run reported as deviation 0.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,13 +22,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class DriftScore:
-    """Per-run evaluation against the ground-truth drift schedule."""
+    """Per-run evaluation against the ground-truth drift schedule;
+    ``alarms`` is the run's alarm count, None in a score built without it."""
 
     delays: tuple[int, ...]
     tp: int
     fp: int
     fn: int
     accuracy: float = 0.0
+    alarms: Optional[int] = None
 
     @property
     def mean_delay(self) -> float:
@@ -77,31 +80,20 @@ def score_run(alarms: Sequence[int], drifts: Sequence[int], accept_delay: int,
         raise ValueError("alarm positions must be strictly increasing")
     if any(b <= a for a, b in zip(drifts, drifts[1:])):
         raise ValueError("drift positions must be strictly increasing")
-    delays = []
-    tp = 0
-    claimed = [False] * len(alarms)
+    delays, claimed, tp = [], set(), 0   # claimed: indices of alarms inside a region
     for drift in drifts:
-        hit = None
-        for i, alarm in enumerate(alarms):
-            if drift < alarm <= drift + accept_delay:
-                claimed[i] = True
-                if hit is None:
-                    hit = alarm
-            elif alarm > drift + accept_delay:
-                break
-        if hit is None:
-            delays.append(accept_delay)
-        else:
-            tp += 1
-            delays.append(hit - drift)
-    fp = sum(1 for i, c in enumerate(claimed) if not c)
-    fn = len(drifts) - tp
-    return DriftScore(tuple(delays), tp, fp, fn, accuracy)
+        first, end = bisect_right(alarms, drift), bisect_right(alarms, drift + accept_delay)
+        claimed.update(range(first, end))
+        tp += end > first
+        delays.append(alarms[first] - drift if end > first else accept_delay)
+    return DriftScore(tuple(delays), tp, len(alarms) - len(claimed), len(drifts) - tp,
+                      accuracy, len(alarms))
 
 
 def aggregate(scores: Sequence[DriftScore], stream: str = "",
               detector: str = "", alarm_counts: Optional[Sequence[int]] = None) -> AggregateRow:
-    """Aggregate per-run scores into a mean +/- std row."""
+    """Aggregate per-run scores into a mean +/- std row.  The alarm counts
+    default to each score's ``alarms``, or tp + fp where that is None."""
     if not scores:
         raise ValueError("aggregate needs at least one score")
     delay = _mean_std([s.mean_delay for s in scores])
@@ -110,7 +102,7 @@ def aggregate(scores: Sequence[DriftScore], stream: str = "",
     fn = _mean_std([s.fn for s in scores])
     acc = _mean_std([s.accuracy for s in scores])
     if alarm_counts is None:
-        alarm_counts = [s.tp + s.fp for s in scores]
+        alarm_counts = [s.tp + s.fp if s.alarms is None else s.alarms for s in scores]
     alarms = _mean_std(alarm_counts)
     return AggregateRow(stream, detector, len(scores),
                         delay[0], delay[1], tp[0], tp[1], fp[0], fp[1],

@@ -45,6 +45,7 @@ import copy
 import csv
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -63,8 +64,7 @@ DEFAULT_LENGTH = 100_000
 # Generation holds only the arrays it returns (X, y, concepts) plus scratch
 # of _PIECE rows, so a stream that fits in memory can be generated.
 MAX_LENGTH = 100_000_000
-# Rows per piece of scratch while a stream is generated or a CSV file is
-# converted to arrays.
+# Rows per piece of scratch while a stream is generated.
 _PIECE = 4096
 # Largest k a CSV "name:nominal:<k>" mark may declare, and most distinct
 # values or class names an unmarked CSV column may hold.  Naive Bayes sizes
@@ -429,13 +429,14 @@ def load_csv_stream(path) -> Stream:
     tables, exceeds ``MAX_CARDINALITY ** 2``.
 
     Blank rows are skipped, a header-only file is an empty stream, and
-    an error in a data row names its line.  ``X`` takes the dtype that
-    :class:`Stream` gives the schema's kinds.
+    an error in a data row names its line; bytes that are not UTF-8 and a
+    field over the csv module's size limit are a :class:`DataFormatError`
+    too.  ``X`` takes the dtype that :class:`Stream` gives the schema's kinds.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        rows = _csv_rows(path, handle)
+        header = next(rows, None)
         if header is None:
             raise DataFormatError(f"{path}: empty file, expected a header row")
         if len(header) < 2:
@@ -449,16 +450,13 @@ def load_csv_stream(path) -> Stream:
                     f"{path}: line 1: column {name!r}: marked cardinality {m.group(2)} is above "
                     f"the largest supported, {MAX_CARDINALITY}")
         *marked, label_mark = [int(m.group(2)) if m else 0 for m in marks]
-        # Kinds and whether labels are codes come from the first data row.
-        kinds = label_is_code = None
+        # Kinds, label coding and X's dtype come from the first data row.
+        kinds = label_is_code = X = None
+        y = array("q")   # int64
         codes = [{} for _ in marked]   # nominal value -> code, per attribute
         label_codes: dict[str, int] = {}
-        # Parsed rows become an array every _PIECE rows.  Labels stay one
-        # list until the code check below, which may refuse codes too large
-        # for int64; a small int costs a list 8 bytes, as in an int64 array.
-        pieces, rows, labels = [], [], []
         top_code = top_line = -1   # the largest label code and its first line
-        for line, row in enumerate(reader, start=2):
+        for line, row in enumerate(rows, start=2):
             if not row:
                 continue
             if len(row) != len(header):
@@ -468,22 +466,14 @@ def load_csv_stream(path) -> Stream:
                 kinds = [NOMINAL if card else _inferred_kind(value)
                          for card, value in zip(marked, row)]
                 label_is_code = bool(_INT_LABEL.match(row[-1]))
-            attrs = []
-            for j, value in enumerate(row[:-1]):
-                if marked[j]:
-                    attrs.append(_marked_code(path, line, header[j], value, marked[j]))
-                elif kinds[j] == NUMERIC:
-                    attrs.append(_finite(path, line, header[j], value))
-                else:
-                    code = codes[j].setdefault(value, len(codes[j]))
-                    if code == MAX_CARDINALITY:
-                        raise DataFormatError(
-                            f"{path}: line {line}: column {header[j]!r}: more than "
-                            f"{MAX_CARDINALITY} distinct nominal values")
-                    attrs.append(code)
+                X = array(np.dtype(_x_dtype(kinds)).char)   # 'h' int16 or 'd' float64
+            for name, kind, card, values, value in zip(header, kinds, marked, codes, row):
+                X.append(_marked_code(path, line, name, value, card) if card
+                         else _finite(path, line, name, value) if kind == NUMERIC
+                         else _first_seen(values, value, path, line, name, "nominal values"))
             raw_label = row[-1]
             if label_mark:
-                labels.append(_marked_code(path, line, header[-1], raw_label, label_mark))
+                y.append(_marked_code(path, line, header[-1], raw_label, label_mark))
             elif bool(_INT_LABEL.match(raw_label)) != label_is_code:
                 # Names are coded from 0, so an integer code in the same
                 # column could share a name's code.
@@ -495,38 +485,53 @@ def load_csv_stream(path) -> Stream:
                     raise DataFormatError(
                         f"{path}: line {line}: label {raw_label} in column {header[-1]!r} is a "
                         f"class code above the largest supported, {MAX_CARDINALITY - 1}")
-                labels.append(code)
-                if labels[-1] > top_code:
-                    top_code, top_line = labels[-1], line
+                y.append(code)
+                if code > top_code:
+                    top_code, top_line = code, line
             else:
-                labels.append(label_codes.setdefault(raw_label, len(label_codes)))
-                if labels[-1] == MAX_CARDINALITY:
-                    raise DataFormatError(
-                        f"{path}: line {line}: column {header[-1]!r}: more than "
-                        f"{MAX_CARDINALITY} distinct class names")
-            rows.append(attrs)
-            if len(rows) == _PIECE:
-                pieces.append(np.array(rows, dtype=_x_dtype(kinds)))
-                rows = []
-    if top_code > len(labels):
+                y.append(_first_seen(label_codes, raw_label, path, line, header[-1],
+                                     "class names"))
+    if top_code > len(y):
         # Each class code sizes the learner's per-class arrays.
         raise DataFormatError(
             f"{path}: line {top_line}: label {top_code} is a class code above the "
-            f"file's {len(labels)} data rows")
-    if kinds is None:
+            f"file's {len(y)} data rows")
+    if kinds is None:  # no data rows; numpy versions differ on an empty np.frombuffer
         kinds = [NOMINAL if card else NUMERIC for card in marked]
-    pieces.append(np.array(rows, dtype=_x_dtype(kinds)).reshape(-1, len(marked)))
+        X, y = np.empty((0, len(marked)), _x_dtype(kinds)), np.empty(0, np.int64)
+    else:  # views of the typed arrays, not copies
+        X = np.frombuffer(X, _x_dtype(kinds)).reshape(-1, len(marked))
+        y = np.frombuffer(y, np.int64)
     cards = tuple((card or len(values)) if kind == NOMINAL else 0
                   for kind, card, values in zip(kinds, marked, codes))
-    n_classes = max(max(labels, default=-1) + 1, label_mark)
+    n_classes = max(int(y.max(initial=-1)) + 1, label_mark)
     if (counts := n_classes * sum(cards)) > MAX_CARDINALITY ** 2:
         raise DataFormatError(
             f"{path}: {n_classes} classes x {sum(cards)} nominal values need {counts} "
             f"Naive Bayes counts, above the largest supported, {MAX_CARDINALITY ** 2}")
-    return Stream(name=path.stem,
-                  X=np.concatenate(pieces),
-                  y=np.array(labels, dtype=np.int64),
+    return Stream(name=path.stem, X=X, y=y,
                   schema=StreamSchema(tuple(header[:-1]), tuple(kinds), cards, n_classes))
+
+
+def _csv_rows(path: Path, handle):
+    """The records of ``path``; non-UTF-8 bytes and csv module errors are data errors."""
+    reader = csv.reader(handle)
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
+def _first_seen(codes: dict, value: str, path: Path, line: int, column: str, what: str) -> int:
+    """The code of ``value`` in first-seen order, below :data:`MAX_CARDINALITY`."""
+    code = codes.setdefault(value, len(codes))
+    if code == MAX_CARDINALITY:
+        raise DataFormatError(
+            f"{path}: line {line}: column {column!r}: more than {MAX_CARDINALITY} "
+            f"distinct {what}")
+    return code
 
 
 def _inferred_kind(value: str) -> str:

@@ -123,6 +123,11 @@ class TestAggregate:
         assert row.alarms_mean == 9.0
         assert row.stream == "s" and row.detector == "d"
 
+    def test_default_alarm_count_includes_ignored_alarms(self):
+        # 1020 and 1030 fall inside the drift's region after its first alarm.
+        row = aggregate([score_run([1010, 1020, 1030, 5000], [1000], 250, 10000)])
+        assert (row.tp_mean, row.fp_mean, row.alarms_mean) == (1.0, 1.0, 4.0)
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])

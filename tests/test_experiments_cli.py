@@ -823,6 +823,19 @@ class TestOutOfDomainValues:
         assert main(["--stream", str(path), "--detector", "none", "--runs", "1"]) == 3
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data,message", [
+        (b"x,label\n0.1,0\n0.2,\xff\n", "not UTF-8 text"),
+        (b"x,label\n0.1,0\n" + b"7" * 131_073 + b",1\n",
+         "line 3: field larger than field limit")], ids=["not_utf8", "oversized_field"])
+    def test_undecodable_or_oversized_csv_is_a_data_error(self, data, message, tmp_path,
+                                                          capsys):
+        # Each ended in "internal error" (UnicodeDecodeError, csv.Error).
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        assert main(["--stream", str(path), "--detector", "none", "--runs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "internal error" not in err and f"{path}: {message}" in err
+
 
 class TestDumpSchedule:
     def test_dump_honours_schedule_keys(self, tmp_path):
