@@ -31,12 +31,6 @@ DEFAULT_ARITHMETIC_STEP = 0.01
 DEFAULT_GEOMETRIC_RATIO = 1.01
 DEFAULT_EULER_RATE = 0.01
 
-# Fewest windows a block of the saturated scan evaluates, unless the bits
-# end first; candidate windows at most this many apart share one block.
-# A block's fixed cost (a correlation call and the loop around it, about
-# 5 us) is that of about 128 means.
-_MIN_BLOCK = 128
-
 
 @dataclass(frozen=True)
 class Arithmetic:
@@ -166,10 +160,8 @@ class MDDM(DriftDetector):
     detector never emits WARNING.  On a drift it resets itself (empty
     window, maximum mean zero) before returning.
 
-    ``scan`` computes means in blocks of at most ``_SCAN_SLICE`` windows,
-    so a scan of one slice is one block, and skips the means that cannot
-    change a verdict, by a window certificate that rests on two facts
-    about the computed means:
+    ``scan`` skips the means that cannot change a verdict, by a window
+    certificate that rests on two facts about the computed means:
 
     * Each ``np.correlate`` output is one inner product of the same
       ``n`` weights in the same order, whatever the alignment of the
@@ -239,20 +231,14 @@ class MDDM(DriftDetector):
         The held window is prepended to the new bits, so the windows the
         bits complete are the length-``n`` slices of one sequence, and a
         window's mean is its ``np.correlate`` with the normalised
-        weights.  The scan goes block by block, each block at most
-        ``_SCAN_SLICE`` windows, and stops at the first drift; each mean
-        is computed at most once, and only where the verdict needs it:
-
-        * While the running maximum is below the all-ones mean ``top``,
-          a block is the next ``_SCAN_SLICE`` windows.
-        * Once the maximum is ``top`` it cannot grow, and a window with
-          at least ``_sure_ones`` ones cannot fire (see the class
-          docstring).  A block is then the next run of windows with
-          fewer ones, found exactly from the positions of the zeros;
-          candidates at most ``_MIN_BLOCK`` windows apart share a block.
-
-        Either way a block's means are scanned for the running maximum
-        and the first drift, as the rule reads.
+        weights.  The scan goes slice by slice, ``_SCAN_SLICE`` windows
+        each, and stops at the first drift.  A slice's block of means is
+        scanned for the running maximum and the first drift, as the rule
+        reads.  While the maximum is below the all-ones mean ``top``, the
+        block is the whole slice.  Once it is ``top``, only windows with
+        fewer than ``_sure_ones`` ones can fire (see the class docstring),
+        so the block runs from the slice's first such window to its last,
+        and a slice without one is skipped.
         """
         held = len(self._win)
         if not isinstance(bits, np.ndarray):
@@ -265,17 +251,18 @@ class MDDM(DriftDetector):
         m = seq.size - n + 1  # windows in seq; window j is seq[j:j + n]
         mu_max, top = self.mu_max, self._top
         k = max(held - n + 1, 0)  # first window that ends in the new bits
-        runs = None  # (first, end) of the candidate runs, once saturated
+        ones = None  # ones in each window, once saturated
         while k < m:
-            lo, end = k, min(k + _SCAN_SLICE, m)
+            lo = k
+            k = end = min(k + _SCAN_SLICE, m)
             if mu_max >= top:
-                if runs is None:
-                    runs = self._candidate_runs(flags, m)
-                r = int(np.searchsorted(runs[1], k, side="right"))
-                if r == runs[1].size:
-                    break  # no window left can fire
-                lo = max(int(runs[0][r]), k)
-                end = min(max(int(runs[1][r]), lo + _MIN_BLOCK), lo + _SCAN_SLICE, m)
+                if ones is None:
+                    counts = np.concatenate([[0], np.cumsum(flags)])
+                    ones = counts[n:] - counts[:m]
+                few = np.flatnonzero(ones[lo:end] < self._sure_ones)
+                if few.size == 0:
+                    continue  # no window of this slice can fire
+                lo, end = lo + int(few[0]), lo + int(few[-1]) + 1
             block = np.correlate(seq[lo:end + n - 1], self._v, "valid")
             running = np.maximum.accumulate(block)
             np.maximum(running, mu_max, out=running)
@@ -284,31 +271,9 @@ class MDDM(DriftDetector):
                 self.reset()
                 return lo + int(np.argmax(hits)) + n - 1 - held
             mu_max = float(running[-1])
-            k = end
         self._win = flags[max(seq.size - n, 0):].astype(np.int64).tolist()
         self.mu_max = mu_max
         return None
-
-    def _candidate_runs(self, flags: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Runs of the windows of ``flags`` that can fire once the maximum is
-        ``top``: those with fewer than ``_sure_ones`` ones.  Returns the
-        first window and the end (one past the last) of each run, runs
-        split where more than ``_MIN_BLOCK`` windows lie between them."""
-        n, need = self.n, self.n + 1 - self._sure_ones  # zeros a candidate holds
-        if need <= 0:
-            return np.array([0]), np.array([m])
-        zeros = np.flatnonzero(~flags)
-        # Window j holds the zeros i to i + need - 1 exactly when
-        # zeros[i + need - 1] - n < j <= zeros[i].
-        first = zeros[need - 1:] - (n - 1)
-        last = zeros[:max(zeros.size - need + 1, 0)]
-        hold = first <= last
-        first, last = np.maximum(first[hold], 0), np.minimum(last[hold], m - 1)
-        # first and last both increase with i, so a run ends where the
-        # next window set starts too far after the last one ends.
-        split = np.flatnonzero(first[1:] - last[:-1] > _MIN_BLOCK)
-        return (np.concatenate([first[:1], first[split + 1]]),
-                np.concatenate([last[split], last[-1:]]) + 1)
 
 
 def fhddm(n: int = 25, delta: float = DEFAULT_DELTA) -> MDDM:

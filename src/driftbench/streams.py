@@ -113,10 +113,9 @@ LED_DEFAULT_LAYOUT = (
     (11, 12, 13, 3, 4, 5, 6),
 )
 
-_INT_LABEL = re.compile(r"^\d+$")
 # A CSV header field "name:nominal:<cardinality>" marks a nominal column
 # whose values are the integer codes 0..cardinality-1.
-_NOMINAL_MARK = re.compile(r"^(.*):nominal:([1-9]\d*)$")
+_NOMINAL_MARK = re.compile(r"(.*):nominal:([1-9]\d*)", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -442,7 +441,7 @@ def load_csv_stream(path) -> Stream:
         if len(header) < 2:
             raise DataFormatError(
                 f"{path}: need at least one attribute column and a label column")
-        marks = [_NOMINAL_MARK.match(name) for name in header]
+        marks = [_NOMINAL_MARK.fullmatch(name) for name in header]
         header = [m.group(1) if m else name for m, name in zip(marks, header)]
         for name, m in zip(header, marks):
             if m and _code_below(m.group(2), MAX_CARDINALITY + 1) is None:
@@ -465,7 +464,7 @@ def load_csv_stream(path) -> Stream:
             if kinds is None:
                 kinds = [NOMINAL if card else _inferred_kind(value)
                          for card, value in zip(marked, row)]
-                label_is_code = bool(_INT_LABEL.match(row[-1]))
+                label_is_code = _is_code(row[-1])
                 X = array(np.dtype(_x_dtype(kinds)).char)   # 'h' int16 or 'd' float64
             for name, kind, card, values, value in zip(header, kinds, marked, codes, row):
                 X.append(_marked_code(path, line, name, value, card) if card
@@ -474,7 +473,7 @@ def load_csv_stream(path) -> Stream:
             raw_label = row[-1]
             if label_mark:
                 y.append(_marked_code(path, line, header[-1], raw_label, label_mark))
-            elif bool(_INT_LABEL.match(raw_label)) != label_is_code:
+            elif _is_code(raw_label) != label_is_code:
                 # Names are coded from 0, so an integer code in the same
                 # column could share a name's code.
                 raise DataFormatError(
@@ -554,11 +553,17 @@ def _finite(path: Path, line: int, column: str, value: str) -> float:
     return number
 
 
+def _is_code(value: str) -> bool:
+    """Whether ``value`` is an integer code: ASCII digits only, as isdigit()
+    alone takes other scripts' digits too."""
+    return value.isascii() and value.isdigit()
+
+
 def _code_below(value: str, bound: int) -> Optional[int]:
     """``value`` as an integer code below ``bound``, or None.  The digits
     are compared first: int() refuses strings over 4300 digits."""
     digits = value.lstrip("0") or "0"
-    if _INT_LABEL.match(value) and len(digits) <= len(str(bound)) and int(digits) < bound:
+    if _is_code(value) and len(digits) <= len(str(bound)) and int(digits) < bound:
         return int(digits)
     return None
 

@@ -441,12 +441,11 @@ def test_mddm_certificate_edges_equal_the_reference(case_id, make, make_bits, se
 
 
 def test_mddm_certificate_edges_across_small_blocks(monkeypatch):
-    """Blocks of a few windows put block edges inside candidate runs,
-    refill gaps and the switch to the saturated scan."""
+    """Slices of a few windows put slice edges between and inside the
+    windows that can fire, and at the switch to the saturated scan."""
     from driftbench.detectors import base, mddm
     monkeypatch.setattr(mddm, "_SCAN_SLICE", 3)
     monkeypatch.setattr(base, "_SCAN_SLICE", 3)
-    monkeypatch.setattr(mddm, "_MIN_BLOCK", 2)
     for case_id, make, make_bits in CERTIFICATE_CASES:
         rng = np.random.default_rng(sum(map(ord, case_id)))
         bits = make_bits(make(), rng)
@@ -471,7 +470,6 @@ def test_mddm_small_blocks_equal_default_blocks(monkeypatch):
         cases.append((params, bits, det.drift_points(bits), state(det)))
     monkeypatch.setattr(mddm, "_SCAN_SLICE", 3)
     monkeypatch.setattr(base, "_SCAN_SLICE", 3)
-    monkeypatch.setattr(mddm, "_MIN_BLOCK", 2)
     for params, bits, want, want_state in cases:
         det = MDDM(**params)
         assert det.drift_points(bits) == want, params

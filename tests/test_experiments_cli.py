@@ -382,10 +382,11 @@ class TestCli:
 
     def test_malformed_csv_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
-        path.write_text("x,label\n1.0,A\nbroken\n")
-        assert main(["--stream", str(path), "--detector", "none",
-                     "--runs", "1"]) == 3
-        assert "line 3" in capsys.readouterr().err
+        for text in ("x,label\n1.0,A\nbroken\n", 'v:nominal:2,label\n0,0\n"0\n",1\n'):
+            path.write_text(text)
+            assert main(["--stream", str(path), "--detector", "none",
+                         "--runs", "1"]) == 3
+            assert "line 3" in capsys.readouterr().err
 
     def test_missing_stream_is_usage_error(self):
         assert main([]) == 2

@@ -411,25 +411,6 @@ class TestWindowCertificate:
             window = np.r_[np.zeros(offset), rng.random(n) < 0.9]
             assert np.correlate(window[offset:], det._v)[0] <= det._top
 
-    @pytest.mark.parametrize("n,delta", [(1, 0.3), (2, 0.1), (25, 1e-6), (25, 0.5),
-                                         (100, 1e-6), (25, 1 - 1e-12)])
-    def test_candidate_runs_cover_every_candidate(self, n, delta):
-        from driftbench.detectors.mddm import _MIN_BLOCK
-        det = MDDM(Arithmetic(), n=n, delta=delta)
-        rng = np.random.default_rng(n)
-        for p in (0.0, 0.3, 0.6, 0.9, 0.99, 1.0):
-            flags = rng.random(int(rng.integers(n, 3_000))) < p
-            m = flags.size - n + 1
-            ones = np.convolve(flags.astype(np.int64), np.ones(n, dtype=np.int64), "valid")
-            cand = np.flatnonzero(ones < det._sure_ones)
-            first, end = det._candidate_runs(flags, m)
-            inside = np.zeros(m, dtype=bool)
-            for a, b in zip(first.tolist(), end.tolist()):
-                assert ones[a] < det._sure_ones and ones[b - 1] < det._sure_ones
-                inside[a:b] = True
-            assert inside[cand].all()
-            assert np.all(first[1:] - end[:-1] >= _MIN_BLOCK)
-
     def test_quorum_is_the_fewest_ones_that_cannot_fire(self):
         for scheme in self.SCHEMES:
             det = MDDM(scheme, n=25, delta=1e-3)

@@ -425,10 +425,12 @@ class TestCsvRoundTrip:
         assert stream.schema.kinds == (NUMERIC, NUMERIC)
 
     @pytest.mark.parametrize("labels", [("0", "UP", "1", "DOWN"),
-                                        ("UP", "0", "DOWN", "1")])
+                                        ("UP", "0", "DOWN", "1"),
+                                        ("0", '"1\n"'), ("0", "\u0661")])
     def test_labels_mixing_codes_and_names_rejected(self, tmp_path, labels):
         # Integer labels are class codes and names are interned from 0, so
-        # a column holding both would put two classes on one code.
+        # a column holding both would put two classes on one code.  Codes
+        # are ASCII digits alone: "1\n" and an Arabic-Indic one are names.
         path = tmp_path / "mixed.csv"
         path.write_text("x,label\n" + "".join(
             f"0.{i},{label}\n" for i, label in enumerate(labels)))
@@ -453,6 +455,11 @@ class TestCsvRoundTrip:
         path = tmp_path / "huge.csv"
         path.write_text("x,label\n0.1,0\n0.2,7\n0.3,1000000000000000\n0.4,1000000000000000\n")
         with pytest.raises(DataFormatError, match="line 4: label 1000000000000000"):
+            load_csv_stream(path)
+        # A cardinality of non-ASCII digits is no mark, so the label
+        # column holds plain codes.
+        path.write_text("x,label:nominal:1\u0661\n0.1,0\n0.2,10\n")
+        with pytest.raises(DataFormatError, match="line 3: label 10 is a class code"):
             load_csv_stream(path)
 
     @pytest.mark.parametrize("labels,n_classes", [((0, 1, 2), 3), ((1, 2, 3), 4), ((3, 3, 3), 4)])
@@ -535,7 +542,7 @@ class TestCsvRoundTrip:
         path.write_text("v:nominal:2,x,label\n")
         assert load_csv_stream(path).schema.kinds == (NOMINAL, NUMERIC)
 
-    @pytest.mark.parametrize("row", ["2,0", "red,0", "1,4", "1,UP"])
+    @pytest.mark.parametrize("row", ["2,0", "red,0", "1,4", "1,UP", '"0\n",1', "\u0661,1"])
     def test_value_outside_a_marked_column_is_data_error(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(f"v:nominal:2,label:nominal:4\n0,1\n{row}\n")
