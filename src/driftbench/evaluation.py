@@ -1,14 +1,17 @@
 """Scoring detector alarms against scheduled drifts.
 
 A drift scheduled at position d owns the acceptable region
-(d, d + accept_delay].  The first alarm inside the region is the
-drift's true positive and its delay; later alarms in the same region
-are ignored.  A drift with no alarm in its region is a false negative
-and contributes the full acceptable delay to the delay statistic, which
-keeps that statistic bounded.  Every alarm outside all regions is a
-false positive, so an alarm that arrives late counts against both
-tallies.  Aggregation over runs reports mean and sample (n-1) standard
-deviation, with a single run reported as deviation 0.
+(d, d + accept_delay].  Position d is where the transition starts: the
+new concept's share of the instances is 1/(1+e^2) ~ 0.12 at d and 1/2
+at d + zeta/2 (zeta the transition length), so delays count from the
+start.  The first alarm inside the region is the drift's true positive
+and its delay; later alarms in the same region are ignored.  A drift
+with no alarm in its region is a false negative and contributes the
+full acceptable delay to the delay statistic, which keeps that
+statistic bounded.  Every alarm outside all regions is a false
+positive, so an alarm that arrives late counts against both tallies.
+Aggregation over runs reports mean and sample (n-1) standard deviation,
+with a single run reported as deviation 0.
 """
 
 from __future__ import annotations
@@ -71,7 +74,8 @@ def _mean_std(values) -> tuple[float, float]:
 
 def score_run(alarms: Sequence[int], drifts: Sequence[int], accept_delay: int,
               stream_length: int, accuracy: float = 0.0) -> DriftScore:
-    """Score one run's alarm positions against the drift schedule."""
+    """Score one run's alarm positions against the drift schedule; each
+    drift counts from where its transition starts (the module docstring)."""
     if accept_delay < 1:
         raise ValueError(f"accept_delay must be >= 1, got {accept_delay}")
     alarms = list(alarms)

@@ -4,19 +4,19 @@ A cell runs R independent prequential runs (run i uses seed base + i),
 scores synthetic runs against the stream's drift schedule, and
 aggregates into a mean +/- std row.  CSV streams have no ground-truth
 drift positions, so their rows carry only alarms and accuracy.  Cells
-of a matrix fail independently: one failing cell does not stop the
-others.
+of a matrix fail independently, and only while they are built: one
+failing cell does not stop the others, and a run has no error path.
 
 Execution is stream-major and seed-parallel, in three phases.  First
 the parent builds every stream's cells: each cell's configuration and
-detector, and the stream's recipe (a CSV stream is loaded once).  Then
-each (stream, run seed) is one task, which generates that seed's stream
-and runs it through every live cell of the stream with one
-``prequential_runs`` call.  When there is more than one task, the tasks
-run in ``min(available cores, tasks)`` processes forked for the call,
-which inherit the built cells and take one task at a time, so each
-process holds one stream at a time; a single task, one available core
-or a platform without ``fork`` runs the tasks in-process.  Last, the
+detector, and the stream's recipe with its schedule checked (a CSV
+stream is loaded once).  Then each (stream, run seed) is one task, which
+generates that seed's stream and runs it through every live cell of the
+stream with one ``prequential_runs`` call.  When there is more than one
+task, the tasks run in ``min(available cores, tasks)`` processes forked
+for the call, which inherit the built cells and take one task at a time,
+so each process holds one stream at a time; a single task, one available
+core or a platform without ``fork`` runs the tasks in-process.  Last, the
 parent puts the runs back in (stream, run) order, scores and aggregates
 them.  Output order stays cell-major (cells in the given order, runs by
 index), and every run sees the same stream, a fresh learner and a reset
@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .detectors import ADWIN, CUSUM, DDM, EDDM, MDDM, RDDM, Arithmetic, Euler, Geometric, PageHinkley, fhddm
+from .detectors import (ADWIN, CUSUM, DDM, EDDM, MDDM, RDDM, Arithmetic, DriftDetector, Euler,
+                        Geometric, PageHinkley, fhddm)
 from .detectors.mddm import DEFAULT_DELTA
 from .errors import DataFormatError, UsageError, as_int, open_output
 from .evaluation import AggregateRow, DriftScore, aggregate, score_run, unscored_row
@@ -172,7 +173,9 @@ def _build_stream_spec(config: ExperimentConfig, seed: int) -> StreamSpec:
         raise UsageError(str(exc)) from exc
     # The spec checks the length before the schedule enumerates its drifts.
     spec = StreamSpec(family=config.stream, length=length, noise=config.noise, seed=seed)
-    return replace(spec, schedule=default_schedule(spec.family, spec.length, **reshape))
+    spec = replace(spec, schedule=default_schedule(spec.family, spec.length, **reshape))
+    spec.resolved_schedule()  # before any stream is generated
+    return spec
 
 
 def _build_detector(config: ExperimentConfig, window: int):
@@ -224,85 +227,84 @@ class MatrixReport:
         return [c for c in self.cells if c.error is not None]
 
 
-# Errors that fail a cell without stopping the matrix.
+# Errors that fail a cell while it is built, without stopping the matrix.
 CELL_ERRORS = (UsageError, DataFormatError, OSError)
+
+
+@dataclass(eq=False)
+class _Cell:
+    """A plan's cell: its configuration and detector, or what failed it."""
+
+    name: str
+    config: Optional[ExperimentConfig] = None
+    detector: Optional[DriftDetector] = None
+    error: Optional[Exception] = None
 
 
 @dataclass
 class _StreamPlan:
-    """One stream's cells, built by the parent before any run.
-
-    ``cells`` holds, per name in ``detectors``, the cell's ``(config,
-    detector)`` or the error that failed it.  The runs read ``first``, the
-    first valid configuration, and either ``spec``, the stream of run 0
-    (run i takes seed + i), or ``csv_stream``, loaded once.
-    """
+    """One stream's cells, built by the parent before any run, and its
+    stream: ``spec`` of run 0 (run i takes seed + i) or ``csv_stream``."""
 
     stream: str
-    detectors: list[str]
-    cells: list
-    first: Optional[ExperimentConfig] = None
+    cells: list[_Cell]
     spec: Optional[StreamSpec] = None
     csv_stream: Optional[Stream] = None
 
     @property
-    def live(self) -> list:
-        return [cell for cell in self.cells if not isinstance(cell, Exception)]
+    def live(self) -> list[_Cell]:
+        return [cell for cell in self.cells if cell.error is None]
 
 
 def _plan_stream(stream: str, detectors: list[str], base: ExperimentConfig) -> _StreamPlan:
     """Build one stream's cells, ``base`` with the stream and each detector.
 
-    The cells differ only in their detector, so the stream's recipe comes
-    from the first valid configuration, and a recipe or CSV file that
-    fails fails every cell.  Then each cell's detector is built: a bad
-    parameter fails its own cell before any run, and so does a window
-    longer than the stream, refused before any weights are built.
+    This is the only place a cell fails.  The cells differ only in their
+    detector, so the stream's recipe, its schedule checked, comes from the
+    first valid configuration, and a recipe or CSV file that fails fails
+    every cell.  Then a bad detector parameter fails its own cell, and so
+    does a window longer than the stream, refused before any weights are
+    built.
     """
-    cells: list = []
+    plan = _StreamPlan(stream, [])
     for name in detectors:
         try:
-            cells.append(replace(base, stream=stream, detector=name))
+            plan.cells.append(_Cell(name, replace(base, stream=stream, detector=name)))
         except CELL_ERRORS as exc:
-            cells.append(exc)
-    configs = [cell for cell in cells if not isinstance(cell, Exception)]
-    if not configs:
-        return _StreamPlan(stream, detectors, cells)
-    first = configs[0]
-    spec = csv_stream = None
+            plan.cells.append(_Cell(name, error=exc))
+    if not plan.live:
+        return plan
+    first = plan.live[0].config
     try:
         if first.is_csv:
-            csv_stream = load_csv_stream(first.stream)
+            plan.csv_stream = load_csv_stream(first.stream)
         else:
-            spec = _build_stream_spec(first, first.seed)
+            plan.spec = _build_stream_spec(first, first.seed)
     except CELL_ERRORS as exc:
-        return _StreamPlan(stream, detectors,
-                           [cell if isinstance(cell, Exception) else exc for cell in cells])
-    length = len(csv_stream) if csv_stream is not None else spec.length
-    for k, cell in enumerate(cells):
-        if not isinstance(cell, Exception):
-            try:
-                cells[k] = (cell, _build_detector(cell, _window(cell, length)))
-            except CELL_ERRORS as exc:
-                cells[k] = exc
-    return _StreamPlan(stream, detectors, cells, first, spec, csv_stream)
+        for cell in plan.live:
+            cell.error = exc
+        return plan
+    length = len(plan.csv_stream) if first.is_csv else plan.spec.length
+    for cell in plan.live:
+        try:
+            cell.detector = _build_detector(cell.config, _window(cell.config, length))
+        except CELL_ERRORS as exc:
+            cell.error = exc
+    return plan
 
 
 def _run_seed(plan: _StreamPlan, run: int):
     """Run ``run`` of every live cell of ``plan``: one stream, one
     ``prequential_runs`` call.  Returns each live cell's ``(alarms,
-    accuracy)`` with the stream's drift positions and length, or the cell
-    error that stopped the run."""
-    detectors = [detector for _, detector in plan.live]
-    try:
-        data = (plan.csv_stream if plan.csv_stream is not None
-                else generate_stream(replace(plan.spec, seed=plan.first.seed + run)))
-        for detector in detectors:
-            if detector is not None:
-                detector.reset()
-        records = prequential_runs(data, detectors, policy=plan.first.policy)
-    except CELL_ERRORS as exc:
-        return exc
+    accuracy)`` with the stream's drift positions and length."""
+    live = plan.live
+    config = live[0].config
+    data = (plan.csv_stream if plan.csv_stream is not None
+            else generate_stream(replace(plan.spec, seed=config.seed + run)))
+    for cell in live:
+        if cell.detector is not None:
+            cell.detector.reset()
+    records = prequential_runs(data, [cell.detector for cell in live], policy=config.policy)
     return [(r.alarms, r.accuracy) for r in records], data.drift_positions, len(data)
 
 
@@ -355,29 +357,14 @@ def _run_plans(plans: list[_StreamPlan]) -> list[CellResult]:
     """Every plan's cells, in order: one task per (stream, run), the
     results gathered back in (stream, run) order."""
     tasks = [(p, run) for p, plan in enumerate(plans) if plan.live
-             for run in range(plan.first.runs)]
+             for run in range(plan.live[0].config.runs)]
     outcomes = _run_tasks(plans, tasks)
-    cells, done = [], 0
-    for plan in plans:
-        runs = plan.first.runs if plan.live else 0
-        cells += _collect(plan, outcomes[done:done + runs])
-        done += runs
-    return cells
-
-
-def _collect(plan: _StreamPlan, outcomes: list) -> list[CellResult]:
-    """The plan's cells from its runs' outcomes, in run order.  A cell
-    error in any run fails every live cell with the error of the lowest
-    run index, as a loop over the runs that stopped there would."""
-    failed = next((o for o in outcomes if isinstance(o, Exception)), None)
-    cells, k = [], 0
-    for name, cell in zip(plan.detectors, plan.cells):
-        if isinstance(cell, Exception) or failed is not None:
-            error = cell if isinstance(cell, Exception) else failed
-            cells.append(CellResult(plan.stream, name, None, error))
-        else:
-            cells.append(CellResult(plan.stream, name, _cell_result(cell[0], outcomes, k), None))
-            k += 1
+    cells = []
+    for p, plan in enumerate(plans):
+        runs, live = [o for (q, _), o in zip(tasks, outcomes) if q == p], plan.live
+        for cell in plan.cells:
+            result = None if cell.error else _cell_result(cell.config, runs, live.index(cell))
+            cells.append(CellResult(plan.stream, cell.name, result, cell.error))
     return cells
 
 
@@ -440,31 +427,18 @@ def write_run_csv(path, runs: list[RunResult]) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(RUN_CSV_FIELDS)
         for r in runs:
-            score = r.score
-            writer.writerow([
-                r.stream, r.detector, r.seed, r.run,
-                _fmt(score.mean_delay if score else None),
-                _fmt(score.tp if score else None),
-                _fmt(score.fp if score else None),
-                _fmt(score.fn if score else None),
-                _fmt(r.accuracy), len(r.alarms),
-            ])
+            s = r.score
+            scored = (s.mean_delay, s.tp, s.fp, s.fn) if s else (None,) * 4
+            writer.writerow([r.stream, r.detector, r.seed, r.run,
+                             *map(_fmt, scored), _fmt(r.accuracy), len(r.alarms)])
 
 
 def write_aggregate_csv(path, rows: list[AggregateRow]) -> None:
     with open_output(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(AGG_CSV_FIELDS)
-        for row in rows:
-            writer.writerow([
-                row.stream, row.detector, row.runs,
-                _fmt(row.delay_mean), _fmt(row.delay_std),
-                _fmt(row.tp_mean), _fmt(row.tp_std),
-                _fmt(row.fp_mean), _fmt(row.fp_std),
-                _fmt(row.fn_mean), _fmt(row.fn_std),
-                _fmt(row.accuracy_mean), _fmt(row.accuracy_std),
-                _fmt(row.alarms_mean), _fmt(row.alarms_std),
-            ])
+        for row in rows:  # AggregateRow's fields are in AGG_CSV_FIELDS order
+            writer.writerow([_fmt(value) for value in astuple(row)])
 
 
 def format_console_table(rows: list[AggregateRow]) -> str:

@@ -24,7 +24,8 @@ platforms, and every random draw happens in a fixed documented order
 mask, then noise values).
 
 Each returned array is allocated once and filled in place, and every
-other array is scratch of ``_PIECE`` rows.  The pieces of a draw take
+other array but led's noise mask (one byte a row) is scratch of
+``_PIECE`` rows.  The pieces of a draw take
 exactly the words one full-length call would, so a stream does not
 depend on the piece size:
 
@@ -41,10 +42,8 @@ depend on the piece size:
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
-import re
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,10 +112,6 @@ LED_DEFAULT_LAYOUT = (
     (11, 12, 13, 3, 4, 5, 6),
 )
 
-# A CSV header field "name:nominal:<cardinality>" marks a nominal column
-# whose values are the integer codes 0..cardinality-1.
-_NOMINAL_MARK = re.compile(r"(.*):nominal:([1-9]\d*)", re.ASCII)
-
 
 @dataclass(frozen=True)
 class ConceptSchedule:
@@ -183,11 +178,20 @@ class StreamSpec:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_schedule(self) -> ConceptSchedule:
+        """The schedule, checked against the length and the family's concepts."""
         sched = self.schedule or default_schedule(self.family, self.length)
         if sched.positions and sched.positions[-1] >= self.length:
             raise UsageError(
                 f"drift position {sched.positions[-1]} is beyond the stream "
                 f"length {self.length}")
+        if self.family == "circles" and sched.concepts > len(CIRCLES):
+            raise UsageError(
+                f"circles supports at most {len(CIRCLES) - 1} drifts, "
+                f"schedule has {len(sched.positions)}")
+        if self.family == "led" and sched.concepts > len(LED_DEFAULT_LAYOUT):
+            raise UsageError(
+                f"led layout defines {len(LED_DEFAULT_LAYOUT)} concepts, schedule needs "
+                f"{sched.concepts}")
         return sched
 
 
@@ -238,9 +242,10 @@ _SIGMOID_ONE = 40.0
 def drift_probability(t, t0, zeta: int):
     """Probability that instance ``t`` is drawn from the post-drift concept.
 
-    A sigmoid centred on the drift position ``t0`` with slope 4/zeta, so
-    the transition effectively spans about ``zeta`` instances.  Accepts
-    scalars or arrays.
+    A sigmoid centred on ``t0`` with slope 4/zeta, so the transition
+    effectively spans about ``zeta`` instances.  Callers pass the
+    transition's midpoint as ``t0``, half a transition after the scheduled
+    drift position (see :func:`_concept_draws`).  Accepts scalars or arrays.
     """
     if zeta < 1:
         raise UsageError(f"transition length must be >= 1, got {zeta}")
@@ -350,10 +355,6 @@ def generate_stream(spec: StreamSpec) -> Stream:
                               (2, 2, 0, 0), 2)
 
     elif family == "circles":
-        if schedule.concepts > len(CIRCLES):
-            raise UsageError(
-                f"circles supports at most {len(CIRCLES) - 1} drifts, "
-                f"schedule has {len(schedule.positions)}")
         y = np.empty(n, dtype=np.int64)
         X = rng.random((n, 2))
         concept = _concept_draws(n, schedule, rng)
@@ -365,10 +366,6 @@ def generate_stream(spec: StreamSpec) -> Stream:
         schema = StreamSchema(("x", "y"), (NUMERIC, NUMERIC), (0, 0), 2)
 
     else:  # led
-        if schedule.concepts > len(LED_DEFAULT_LAYOUT):
-            raise UsageError(
-                f"led layout defines {len(LED_DEFAULT_LAYOUT)} concepts, schedule needs "
-                f"{schedule.concepts}")
         schema = StreamSchema(tuple(f"a{j + 1}" for j in range(LED_ATTRIBUTES)),
                               (NOMINAL,) * LED_ATTRIBUTES,
                               (2,) * LED_ATTRIBUTES, 10)
@@ -386,14 +383,12 @@ def generate_stream(spec: StreamSpec) -> Stream:
                     attrs[:, cols] = segments
                 elif rows.size:
                     attrs[rows[:, None], cols] = segments[rows]
-        # All n flip draws come before the n offsets: a second generator
-        # starts where the offsets do, so both are drawn piece by piece.
-        offsets_rng = copy.deepcopy(rng)
-        _skip(offsets_rng, n)
+        flips = np.empty(n, dtype=bool)  # all n flip draws come before the n offsets
         for a, b in _pieces(0, n):
-            flip = rng.random(b - a) < spec.noise
-            digits = y[a:b]
-            digits[flip] = (digits[flip] + offsets_rng.integers(1, 10, size=b - a)[flip]) % 10
+            flips[a:b] = rng.random(b - a) < spec.noise
+        for a, b in _pieces(0, n):
+            flip, digits = flips[a:b], y[a:b]
+            digits[flip] = (digits[flip] + rng.integers(1, 10, size=b - a)[flip]) % 10
 
     return Stream(name=family, X=X, y=y, schema=schema,
                   drift_positions=schedule.positions, concepts=concept)
@@ -421,11 +416,12 @@ def load_csv_stream(path) -> Stream:
     for nominal attributes and the label) marks a column of integer codes
     ``0..k-1``: an attribute so marked is nominal with cardinality ``k``
     and the label column has ``k`` classes, even when some codes never
-    occur in the file.  Marked values are taken verbatim; anything else
-    in a marked column is a :class:`DataFormatError`, and so is a ``k``
-    above :data:`MAX_CARDINALITY`.  So is a file whose class count times
-    the sum of its nominal cardinalities, the cells of the learner's count
-    tables, exceeds ``MAX_CARDINALITY ** 2``.
+    occur in the file.  Every field holding ``:nominal:`` is a mark.
+    Marked values are taken verbatim; anything else in a marked column is
+    a :class:`DataFormatError`, and so is a ``k`` outside
+    ``1..MAX_CARDINALITY``.  So is a file whose class count times the sum
+    of its nominal cardinalities, the cells of the learner's count tables,
+    exceeds ``MAX_CARDINALITY ** 2``.
 
     Blank rows are skipped, a header-only file is an empty stream, and
     an error in a data row names its line; bytes that are not UTF-8 and a
@@ -441,14 +437,7 @@ def load_csv_stream(path) -> Stream:
         if len(header) < 2:
             raise DataFormatError(
                 f"{path}: need at least one attribute column and a label column")
-        marks = [_NOMINAL_MARK.fullmatch(name) for name in header]
-        header = [m.group(1) if m else name for m, name in zip(marks, header)]
-        for name, m in zip(header, marks):
-            if m and _code_below(m.group(2), MAX_CARDINALITY + 1) is None:
-                raise DataFormatError(
-                    f"{path}: line 1: column {name!r}: marked cardinality {m.group(2)} is above "
-                    f"the largest supported, {MAX_CARDINALITY}")
-        *marked, label_mark = [int(m.group(2)) if m else 0 for m in marks]
+        header, (*marked, label_mark) = zip(*(_header_mark(path, field) for field in header))
         # Kinds, label coding and X's dtype come from the first data row.
         kinds = label_is_code = X = None
         y = array("q")   # int64
@@ -523,6 +512,18 @@ def _csv_rows(path: Path, handle):
         raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
+def _header_mark(path: Path, field: str) -> tuple[str, int]:
+    """A header field's column name and marked cardinality, 0 if unmarked."""
+    if ":nominal:" not in field:
+        return field, 0
+    name, _, text = field.rpartition(":nominal:")
+    if card := _code_below(text, MAX_CARDINALITY + 1):
+        return name, card
+    raise DataFormatError(f"{path}: line 1: column {name!r}: marked cardinality " + (
+        f"{text} is above the largest supported, {MAX_CARDINALITY}"
+        if _is_code(text) and text.strip("0") else f"{text!r} is not a positive integer"))
+
+
 def _first_seen(codes: dict, value: str, path: Path, line: int, column: str, what: str) -> int:
     """The code of ``value`` in first-seen order, below :data:`MAX_CARDINALITY`."""
     code = codes.setdefault(value, len(codes))
@@ -586,6 +587,7 @@ def dump_stream(spec: StreamSpec, path) -> None:
     (Laplace smoothing divides by both, even where a short file misses a
     value).  Identical specs produce byte-identical files.
     """
+    spec.resolved_schedule()  # a bad schedule fails before the file is made
     open_output(path, "a").close()  # fail before generating, truncating nothing
     stream = generate_stream(spec)
     schema = stream.schema

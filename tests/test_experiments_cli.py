@@ -241,14 +241,32 @@ class TestStreamMajor:
         none, = [c.result for c in report.cells if c.result is not None]
         assert all(r.alarms == (500, 1000, 1500) for r in none.runs)
 
-    def test_a_stream_that_cannot_be_made_fails_only_its_cells(self):
-        # Five drifts are more than circles' four concepts allow.
+    def test_a_stream_that_cannot_be_made_fails_only_its_cells(self, monkeypatch, tmp_path):
+        # Five drifts are more than circles' four concepts allow.  The
+        # schedule fails while the cells are built, so no circles stream is
+        # generated, on one core or on two (a file logs the forked workers'
+        # calls).
+        log = tmp_path / "families.txt"
+        real = experiments.generate_stream
+
+        def spy(spec):
+            with open(log, "a") as handle:
+                handle.write(spec.family + "\n")
+            return real(spec)
+
+        monkeypatch.setattr(experiments, "generate_stream", spy)
         base = replace(self.BASE, params=dict(FAST, drift_every=400))
-        report = run_matrix(["circles", "sine1"], ["mddm_a", "none"], base)
-        assert [(c.stream, c.detector) for c in report.errors] == [
-            ("circles", "mddm_a"), ("circles", "none")]
-        assert all(isinstance(c.error, UsageError) for c in report.errors)
-        assert [row.stream for row in report.aggregates] == ["sine1", "sine1"]
+        for cores in (1, 2):
+            monkeypatch.setattr(experiments, "_cores", lambda: cores)
+            log.write_text("")
+            report = run_matrix(["circles", "sine1"], ["mddm_a", "none"], base)
+            assert [(c.stream, c.detector) for c in report.errors] == [
+                ("circles", "mddm_a"), ("circles", "none")]
+            assert all(isinstance(c.error, UsageError) for c in report.errors)
+            assert all("circles supports at most 3 drifts" in str(c.error)
+                       for c in report.errors)
+            assert [row.stream for row in report.aggregates] == ["sine1", "sine1"]
+            assert log.read_text().split() == ["sine1"] * 3
 
     @staticmethod
     def imports(module):
@@ -284,45 +302,20 @@ class TestSeedParallel:
     def two_cores(self, monkeypatch):
         monkeypatch.setattr(experiments, "_cores", lambda: 2)
 
-    @staticmethod
-    def failing(monkeypatch, error, seeds, slow=()):
-        """Make generation raise ``error`` for the sine1 ``seeds``, after
-        half a second for those in ``slow``."""
-        real = experiments.generate_stream
-
-        def generate(spec):
-            if spec.family == "sine1" and spec.seed in seeds:
-                if spec.seed in slow:
-                    time.sleep(0.5)
-                raise error(f"cannot make sine1 seed {spec.seed}")
-            return real(spec)
-
-        monkeypatch.setattr(experiments, "generate_stream", generate)
-
-    @staticmethod
-    def summary(report):
-        return [(c.stream, c.detector, type(c.error), str(c.error),
-                 c.result and c.result.aggregate) for c in report.cells]
-
-    def test_a_failing_seed_fails_its_stream_as_in_serial(self, monkeypatch):
-        # Run 2 fails first in time, run 0 last; run 0's error is reported,
-        # as the serial loop, which stops at run 0, reports it.
-        self.failing(monkeypatch, DataFormatError, {40, 42}, slow={40})
-        report = run_matrix(["sine1", "circles"], self.DETECTORS, self.BASE)
-        assert [(c.stream, str(c.error)) for c in report.errors] == [
-            ("sine1", "cannot make sine1 seed 40")] * 3
-        assert all(isinstance(c.error, DataFormatError) for c in report.errors)
-        assert [(row.stream, row.detector) for row in report.aggregates] == [
-            ("circles", name) for name in self.DETECTORS]
-        monkeypatch.setattr(experiments, "_cores", lambda: 1)
-        assert self.summary(run_matrix(["sine1", "circles"], self.DETECTORS,
-                                       self.BASE)) == self.summary(report)
-
     def test_other_errors_propagate_and_leave_no_process(self, monkeypatch):
-        self.failing(monkeypatch, RuntimeError, {42})
-        with pytest.raises(RuntimeError, match="sine1 seed 42"):
-            run_matrix(["sine1", "circles"], self.DETECTORS, self.BASE)
-        assert multiprocessing.active_children() == []
+        # A cell fails only while it is built, so any error inside a run,
+        # a cell error type too, stops the call.
+        real = experiments.generate_stream
+        for error in (RuntimeError, DataFormatError):
+            def generate(spec, error=error):
+                if spec.family == "sine1" and spec.seed == 42:
+                    raise error(f"cannot make sine1 seed {spec.seed}")
+                return real(spec)
+
+            monkeypatch.setattr(experiments, "generate_stream", generate)
+            with pytest.raises(error, match="sine1 seed 42"):
+                run_matrix(["sine1", "circles"], self.DETECTORS, self.BASE)
+            assert multiprocessing.active_children() == []
 
     def test_a_dead_worker_fails_the_call(self, monkeypatch):
         real = experiments.generate_stream
@@ -467,6 +460,31 @@ class TestCli:
             config.write_text(f"stream=sine1\nset=length=20\nconfig={target}\n")
             assert main(["--config", str(config), "--dump", str(path)]) == 0
             assert len(read_csv(path)) == 21
+
+    @pytest.mark.parametrize("args,message", [
+        (["--config", "{conf}"], "line 2: expected key=value"),
+        (["--config", "{missing}"], "cannot read config file"),
+        (["--set", "k"], "--set expects key=value, got 'k'"),
+        (["--set", "k=abc"], "--set k: 'abc' is not a number"),
+        (["--set", "k=inf"], "--set k: 'inf' is not a finite number"),
+        (["--stream", ","], "--stream ',' names no stream"),
+        (["--stream", "sine1,led", "--dump", "{dump}"], "--dump needs exactly one synthetic"),
+        (["--set", "drift_every=0"], "drift spacing must be >= 1, got 0"),
+        (["--set", "zeta=0"], "transition length must be >= 1, got 0")],
+        ids=["config_line", "config_missing", "set_no_value", "set_not_number",
+             "set_not_finite", "stream_empty", "dump_two_streams", "drift_every_0",
+             "zeta_0"])
+    def test_usage_errors_exit_2(self, args, message, tmp_path, capsys):
+        conf = tmp_path / "exp.conf"
+        conf.write_text("stream=sine1\nno equals sign\n")
+        paths = {"conf": conf, "missing": tmp_path / "missing.conf",
+                 "dump": tmp_path / "dump.csv"}
+        args = [arg.format(**paths) for arg in args]
+        if "--stream" not in args:
+            args += ["--stream", "sine1"]
+        assert main(args + ["--runs", "1", "--set", "length=1000"]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and message in err
 
     @pytest.mark.parametrize("policy", ["bogus", "blind:0", "blind"])
     def test_bad_policy_exits_2_before_any_stream(self, policy, capsys, monkeypatch):
@@ -789,9 +807,13 @@ class TestOutOfDomainValues:
     @pytest.mark.parametrize("header,column", [
         ("a,label:nominal:1000000000000000", "label"),
         ("a:nominal:1000000000000000,label", "a"),
-        ("a,label:nominal:1" + "0" * 5000, "label")])
+        ("a,label:nominal:1" + "0" * 5000, "label"),
+        ("a:nominal:0,label", "a"),
+        ("a:nominal:x,label", "a"),
+        ('"a:nominal:2\n",label', "a")])
     def test_huge_marked_cardinality_is_a_data_error(self, header, column, tmp_path, capsys):
-        # The mark would size Naive Bayes' arrays (MemoryError).
+        # The mark would size Naive Bayes' arrays (MemoryError).  A mark of
+        # no positive cardinality was taken silently as a column name.
         path = tmp_path / "marked.csv"
         path.write_text(f"{header}\n0,0\n1,1\n")
         assert main(["--stream", str(path), "--detector", "none", "--runs", "1"]) == 3
@@ -847,6 +869,18 @@ class TestDumpSchedule:
         dump_stream(StreamSpec("sine1", length=3000, seed=3,
                                schedule=ConceptSchedule((1000, 2000), 20)), want)
         assert got.read_bytes() == want.read_bytes()
+
+    def test_impossible_schedule_dump_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # Drifts at 100, 200, ..., 500 need six concepts; circles has four.
+        path = tmp_path / "dump.csv"
+        assert main(["--stream", "circles", "--dump", str(path), "--set", "length=600",
+                     "--set", "drift_every=100"]) == 2
+        assert "circles supports at most 3 drifts, schedule has 5" in capsys.readouterr().err
+        assert not path.exists()
+        spec = StreamSpec("circles", length=600, schedule=ConceptSchedule((100, 200, 300, 400), 5))
+        with pytest.raises(UsageError, match="at most 3 drifts, schedule has 4"):
+            dump_stream(spec, path)
+        assert not path.exists()
 
     def test_dump_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "dump.csv"

@@ -456,10 +456,9 @@ class TestCsvRoundTrip:
         path.write_text("x,label\n0.1,0\n0.2,7\n0.3,1000000000000000\n0.4,1000000000000000\n")
         with pytest.raises(DataFormatError, match="line 4: label 1000000000000000"):
             load_csv_stream(path)
-        # A cardinality of non-ASCII digits is no mark, so the label
-        # column holds plain codes.
+        # A cardinality of non-ASCII digits is a malformed mark.
         path.write_text("x,label:nominal:1\u0661\n0.1,0\n0.2,10\n")
-        with pytest.raises(DataFormatError, match="line 3: label 10 is a class code"):
+        with pytest.raises(DataFormatError, match="line 1: column 'label'"):
             load_csv_stream(path)
 
     @pytest.mark.parametrize("labels,n_classes", [((0, 1, 2), 3), ((1, 2, 3), 4), ((3, 3, 3), 4)])
