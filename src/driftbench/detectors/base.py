@@ -47,7 +47,6 @@ def bit_list(bits: Iterable) -> Iterable:
 class DriftDetector(ABC):
     """Base class for prediction-bit drift detectors."""
 
-    name: str = "detector"
     warning: bool = False
 
     @abstractmethod

@@ -42,8 +42,6 @@ class CUSUM(DriftDetector):
     same bits, up to rounding at a tie.
     """
 
-    name = "cusum"
-
     def __init__(self, slack: float = 0.005, threshold: float = 50.0,
                  min_instances: int = 30):
         if threshold <= 0:
@@ -89,8 +87,6 @@ class PageHinkley(DriftDetector):
     the same bits, up to rounding at a tie.
     """
 
-    name = "page_hinkley"
-
     def __init__(self, slack: float = 0.005, threshold: float = 50.0):
         if threshold <= 0:
             raise ValueError(f"threshold must be positive, got {threshold}")
@@ -130,8 +126,6 @@ class DDM(DriftDetector):
     suppressed for the first ``min_instances`` observations so the
     early statistics cannot alarm degenerately.
     """
-
-    name = "ddm"
 
     def __init__(self, warning_level: float = 2.0, drift_level: float = 3.0,
                  min_instances: int = 30):
@@ -187,8 +181,6 @@ class EDDM(DriftDetector):
     ratio below the warning (``alpha``) and drift (``beta``) fractions.
     Verdicts are suppressed until ``min_errors`` errors have been seen.
     """
-
-    name = "eddm"
 
     def __init__(self, alpha: float = 0.95, beta: float = 0.90,
                  min_errors: int = 30):
@@ -255,8 +247,6 @@ class RDDM(DDM):
     detector responsive right after large drifts; with no episode
     active only the triggering bit is replayed.
     """
-
-    name = "rddm"
 
     def __init__(self, warning_level: float = 1.773, drift_level: float = 2.258,
                  max_concept: int = 40000, min_stable: int = 7000,
@@ -405,8 +395,6 @@ class ADWIN(DriftDetector):
     grid): a certified split never passes the exact test, and a cell that
     passes it is always flagged.
     """
-
-    name = "adwin"
 
     def __init__(self, delta: float = 0.002, max_window: int = 32768):
         if not 0.0 < delta < 1.0:

@@ -180,8 +180,6 @@ class MDDM(DriftDetector):
       ``tol = (n + 1) 2^-52 top`` covers them all.
     """
 
-    name = "mddm"
-
     def __init__(self, scheme: Optional[WeightScheme] = None, n: int = 25,
                  delta: float = DEFAULT_DELTA, weights=None):
         if scheme is None:
@@ -283,6 +281,4 @@ def fhddm(n: int = 25, delta: float = DEFAULT_DELTA) -> MDDM:
     sqrt(ln(1/delta) / (2n)), so this is the uniform special case of
     :class:`MDDM` and shares its implementation.
     """
-    det = MDDM(Uniform(), n=n, delta=delta)
-    det.name = "fhddm"
-    return det
+    return MDDM(Uniform(), n=n, delta=delta)

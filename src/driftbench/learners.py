@@ -71,7 +71,7 @@ class NaiveBayes:
         self._numeric = [j for j, k in enumerate(schema.kinds) if k == NUMERIC]
         self._nominal = [(j, schema.cardinalities[j])
                          for j, k in enumerate(schema.kinds) if k == NOMINAL]
-        # First row of each nominal attribute in a block's count table.
+        # Each nominal attribute's first column in nom_counts and row in a block's table.
         cards = np.array([card for _, card in self._nominal], dtype=np.int64)
         self._cards, self._offsets = cards, np.cumsum(cards) - cards
         self.reset()
@@ -83,7 +83,7 @@ class NaiveBayes:
         self.class_counts = np.zeros(m)
         self.num_sums = np.zeros((m, len(self._numeric)))
         self.num_sumsqs = np.zeros((m, len(self._numeric)))
-        self.nom_counts = [np.zeros((m, card)) for _, card in self._nominal]
+        self.nom_counts = np.zeros((m, int(self._cards.sum())))
 
     @property
     def is_trained(self) -> bool:
@@ -103,12 +103,12 @@ class NaiveBayes:
             x = float(attributes[j])
             self.num_sums[label, slot] += x
             self.num_sumsqs[label, slot] += x * x
-        for slot, (j, card) in enumerate(self._nominal):
+        for (j, card), offset in zip(self._nominal, self._offsets):
             v = int(attributes[j])
             if not 0 <= v < card:
                 raise ValueError(
                     f"attribute {j} value {v} outside its cardinality {card}")
-            self.nom_counts[slot][label, v] += 1.0
+            self.nom_counts[label, offset + v] += 1.0
 
 
 @dataclass(frozen=True)
@@ -130,13 +130,14 @@ def _seeded_rows(seeds: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.cumsum(out, axis=1, out=out)
 
 
-def _block_bits(model: NaiveBayes, X: np.ndarray, y: np.ndarray):
-    """Prediction-correctness bits for a block, plus end-of-block stats.
+def _block_bits(model: NaiveBayes, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Prediction-correctness bits for a block; ``model`` ends trained on it.
 
     Reproduces, per instance, exactly what predict-then-train would
     compute (see ``_nominal_scores`` for the nominal attributes);
     ``tests/test_learners.py`` keeps the per-instance predictor as the
-    reference it is compared against.
+    reference it is compared against.  An out-of-range nominal code
+    raises ``ValueError`` before any statistic is written.
     """
     B = y.shape[0]
     m = model.n_classes
@@ -147,7 +148,6 @@ def _block_bits(model: NaiveBayes, X: np.ndarray, y: np.ndarray):
     cc = cc_all[:, :B]
     end_sums = np.empty_like(model.num_sums)
     end_sumsqs = np.empty_like(model.num_sumsqs)
-    end_nom = []
     with np.errstate(divide="ignore", invalid="ignore"):
         score = np.log(cc / totals)
         safe = np.where(cc > 0, cc, 1.0)
@@ -163,16 +163,18 @@ def _block_bits(model: NaiveBayes, X: np.ndarray, y: np.ndarray):
             d = x - mean
             score += -0.5 * np.log(_TWO_PI * var) - d * d / (2.0 * var)
         if model._nominal:
-            end_nom = _nominal_scores(model, X, y, cc_all, score)
+            model.nom_counts = _nominal_scores(model, X, y, cc_all, score)
         score = np.where(cc > 0, score, -np.inf)
-    bits = (np.argmax(score, axis=0) == y) & (totals > 0)
-    return bits, (cc_all[:, B].copy(), end_sums, end_sumsqs, end_nom)
+    model.total += B
+    model.class_counts = cc_all[:, B].copy()
+    model.num_sums, model.num_sumsqs = end_sums, end_sumsqs
+    return (np.argmax(score, axis=0) == y) & (totals > 0)
 
 
 def _nominal_scores(model: NaiveBayes, X: np.ndarray, y: np.ndarray,
                     cc_all: np.ndarray, score: np.ndarray):
     """Add every nominal slot's Laplace term to ``score`` in place, in
-    slot order, and return the end-of-block nominal counts.
+    slot order, and return the end-of-block ``nom_counts``.
 
     All nominal counts of the block live in one table with a row per
     (attribute, value) pair and its columns grouped by class: class c's
@@ -180,7 +182,8 @@ def _nominal_scores(model: NaiveBayes, X: np.ndarray, y: np.ndarray,
     class-c instance of the block, in block order.  Seeds are differenced
     against the previous segment's end, so one cumsum along the columns
     leaves class c's counts after its first r block instances in column
-    ``start[c] + r``.  The counts are integers held in float64, so the
+    ``start[c] + r``; ``nom_counts``, whose columns are the table's rows,
+    seeds it as it is.  The counts are integers held in float64, so the
     summation order cannot change them, and the Laplace term is computed
     once per table cell from the same floats the per-instance path uses.
     """
@@ -202,10 +205,9 @@ def _nominal_scores(model: NaiveBayes, X: np.ndarray, y: np.ndarray,
     value_rows = (codes + model._offsets[:, None]) * R
     table = np.zeros((int(cards.sum()), R))
     table.ravel()[value_rows + where.ravel()[y * B + np.arange(B)] + 1] = 1.0
-    seeds = np.concatenate(model.nom_counts, axis=1)
-    ends = seeds + np.add.reduceat(table, start, axis=1).T
-    seeds[1:] -= ends[:-1]
-    table[:, start] = seeds.T
+    ends = model.nom_counts + np.add.reduceat(table, start, axis=1).T
+    table[:, start[0]] = model.nom_counts[0]
+    table[:, start[1:]] = (model.nom_counts[1:] - ends[:-1]).T
     np.cumsum(table, axis=1, out=table)
     # Each column's class count: the float cc holds for its instances.
     col_counts = np.repeat(shift, lengths) + np.arange(float(R))
@@ -215,7 +217,7 @@ def _nominal_scores(model: NaiveBayes, X: np.ndarray, y: np.ndarray,
     logs = np.log(table, out=table).ravel()
     for slot_rows in value_rows:
         score += np.take(logs, where + slot_rows)
-    return [ends[:, a:a + card] for a, card in zip(model._offsets, cards)]
+    return ends
 
 
 def _parse_policy(policy: str):
@@ -291,7 +293,7 @@ def prequential_runs(stream: Stream, detectors: Sequence[Optional[DriftDetector]
         block_end = min(n, t + line.size)
         if kind == "blind":
             block_end = min(block_end, ((t // period) + 1) * period)
-        bits, end_stats = _block_bits(line.model, X[t:block_end], y[t:block_end])
+        bits = _block_bits(line.model, X[t:block_end], y[t:block_end])
         stay, moves = [], []
         for i in line.members:
             detector = detectors[i]
@@ -317,9 +319,6 @@ def prequential_runs(stream: Stream, detectors: Sequence[Optional[DriftDetector]
         spare = None
         if stay:
             line.members = stay
-            line.model.total += bits.size
-            (line.model.class_counts, line.model.num_sums, line.model.num_sumsqs,
-             line.model.nom_counts) = end_stats
             line.t = block_end
             line.size = min(2 * line.size, longest)
             if kind == "blind" and block_end < n and block_end % period == 0:

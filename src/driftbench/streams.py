@@ -441,8 +441,8 @@ def load_csv_stream(path) -> Stream:
         # Kinds, label coding and X's dtype come from the first data row.
         kinds = label_is_code = X = None
         y = array("q")   # int64
-        codes = [{} for _ in marked]   # nominal value -> code, per attribute
-        label_codes: dict[str, int] = {}
+        codes = [{} for _ in marked]   # value -> code, per attribute (a memo if marked)
+        label_codes: dict[str, int] = {}   # class name -> code, or a memo if marked
         top_code = top_line = -1   # the largest label code and its first line
         for line, row in enumerate(rows, start=2):
             if not row:
@@ -456,12 +456,19 @@ def load_csv_stream(path) -> Stream:
                 label_is_code = _is_code(row[-1])
                 X = array(np.dtype(_x_dtype(kinds)).char)   # 'h' int16 or 'd' float64
             for name, kind, card, values, value in zip(header, kinds, marked, codes, row):
-                X.append(_marked_code(path, line, name, value, card) if card
-                         else _finite(path, line, name, value) if kind == NUMERIC
-                         else _first_seen(values, value, path, line, name, "nominal values"))
+                if card:   # each distinct string is decoded once; a bad one is never stored
+                    if (code := values.get(value)) is None:
+                        code = values[value] = _marked_code(path, line, name, value, card)
+                    X.append(code)
+                else:
+                    X.append(_finite(path, line, name, value) if kind == NUMERIC
+                             else _first_seen(values, value, path, line, name, "nominal values"))
             raw_label = row[-1]
             if label_mark:
-                y.append(_marked_code(path, line, header[-1], raw_label, label_mark))
+                if (code := label_codes.get(raw_label)) is None:
+                    code = label_codes[raw_label] = _marked_code(path, line, header[-1],
+                                                                 raw_label, label_mark)
+                y.append(code)
             elif _is_code(raw_label) != label_is_code:
                 # Names are coded from 0, so an integer code in the same
                 # column could share a name's code.

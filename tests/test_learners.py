@@ -58,7 +58,8 @@ def class_scores(model, attributes):
             scores += -0.5 * np.log(2.0 * math.pi * var) - d * d / (2.0 * var)
         for slot, (j, card) in enumerate(model._nominal):
             v = int(attributes[j])
-            counts = model.nom_counts[slot][:, v] if 0 <= v < card else np.zeros_like(cc)
+            counts = (model.nom_counts[:, model._offsets[slot] + v] if 0 <= v < card
+                      else np.zeros_like(cc))
             scores += np.log((counts + 1.0) / (cc + card))
     return np.where(cc > 0, scores, -np.inf)
 
@@ -145,7 +146,22 @@ class TestNaiveBayes:
         assert np.allclose(a.class_counts, b.class_counts)
         assert np.allclose(a.num_sums, b.num_sums, atol=1e-10)
         assert np.allclose(a.num_sumsqs, b.num_sumsqs, atol=1e-10)
-        assert np.array_equal(a.nom_counts[0], b.nom_counts[0])
+        assert np.array_equal(a.nom_counts, b.nom_counts)
+
+    def test_nominal_counts_are_one_array_in_table_order(self):
+        # Nominal attributes of cardinality 3 and 2 around a numeric one:
+        # their counts sit side by side, the second attribute from column 3.
+        model = NaiveBayes(make_schema([NOMINAL, NUMERIC, NOMINAL], [3, 0, 2], n_classes=3))
+        rng = np.random.default_rng(14)
+        want = np.zeros((3, 5))
+        for _ in range(60):
+            attrs = [int(rng.integers(3)), float(rng.random()), int(rng.integers(2))]
+            label = int(rng.integers(3))
+            model.train(attrs, label)
+            want[label, attrs[0]] += 1.0
+            want[label, 3 + attrs[2]] += 1.0
+        assert model.nom_counts.shape == (3, 5)
+        assert np.array_equal(model.nom_counts, want)
 
     def test_reset_discards_statistics(self):
         model = NaiveBayes(make_schema([NUMERIC], [0]))
@@ -267,11 +283,8 @@ class TestPrequentialRun:
             assert fast.accuracy == slow_correct / len(stream)
             assert np.array_equal(fast.bits, np.array(slow_bits, dtype=bool))
             assert fast_model.total == slow_model.total
-            for name in ("class_counts", "num_sums", "num_sumsqs"):
+            for name in ("class_counts", "num_sums", "num_sumsqs", "nom_counts"):
                 assert np.array_equal(getattr(fast_model, name), getattr(slow_model, name)), name
-            for fast_counts, slow_counts in zip(fast_model.nom_counts, slow_model.nom_counts,
-                                                strict=True):
-                assert np.array_equal(fast_counts, slow_counts)
 
     def test_wide_nominal_one_hot_shortens_blocks(self, monkeypatch):
         # 100 values x 5 classes: each block's count table (a row per value,
@@ -370,6 +383,41 @@ class TestPrequentialRun:
         with pytest.raises(ValueError, match=message if math.isfinite(bad) else "NaN"):
             NaiveBayes(stream.schema).train(X[150], 0)
 
+    @pytest.mark.parametrize("family", ["sine1", "mixed", "circles", "led", "uneven"])
+    def test_block_trains_its_model_in_place(self, family):
+        # After 300 rows trained one by one, two blocks give the reference
+        # predictor's bits and leave the model trained as the copy that saw
+        # each row on its own.
+        stream = (self.uneven_stream(1_500, seed=4) if family == "uneven"
+                  else generate_stream(StreamSpec(family, length=1_500, seed=4)))
+        X, y = stream.X, stream.y
+        model, want = NaiveBayes(stream.schema), NaiveBayes(stream.schema)
+        for t in range(300):
+            model.train(X[t], y[t])
+            want.train(X[t], y[t])
+        for a, b in ((300, 700), (700, 1_500)):
+            bits = learners._block_bits(model, X[a:b], y[a:b])
+            expected = []
+            for t in range(a, b):
+                expected.append(predict(want, X[t]) == y[t])
+                want.train(X[t], y[t])
+            assert np.array_equal(bits, expected)
+            assert model.total == want.total
+            for name in ("class_counts", "num_sums", "num_sumsqs", "nom_counts"):
+                assert np.array_equal(getattr(model, name), getattr(want, name)), name
+        if not model._nominal:
+            return
+        # A block with an out-of-range code changes nothing.
+        bad = X[:200].astype(np.float64)
+        bad[150, model._nominal[-1][0]] = model._nominal[-1][1]
+        names = ("class_counts", "num_sums", "num_sumsqs", "nom_counts")
+        before = [getattr(model, name).copy() for name in names]
+        with pytest.raises(ValueError, match="outside its cardinality"):
+            learners._block_bits(model, bad, y[:200])
+        assert model.total == want.total
+        for name, array in zip(names, before):
+            assert np.array_equal(getattr(model, name), array), name
+
     @staticmethod
     def uneven_stream(n, seed):
         # Four nominal attributes of cardinality 3, 7, 2 and 5 and one
@@ -437,10 +485,8 @@ class TestSharedTimelines:
         for t in range(start, len(stream)):
             want.train(stream.X[t], stream.y[t])
         assert model.total == want.total
-        for name in ("class_counts", "num_sums", "num_sumsqs"):
+        for name in ("class_counts", "num_sums", "num_sumsqs", "nom_counts"):
             assert np.array_equal(getattr(model, name), getattr(want, name)), name
-        for got, expected in zip(model.nom_counts, want.nom_counts, strict=True):
-            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("family", ["sine1", "mixed", "led"])
     @pytest.mark.parametrize("policy", ["reset", "none"])

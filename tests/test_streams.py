@@ -525,6 +525,27 @@ class TestCsvRoundTrip:
                 for s in (loaded, original)]
         assert np.array_equal(*bits)
 
+    def test_marked_values_are_decoded_once_per_column(self, tmp_path, monkeypatch):
+        # 2000 rows of 24 marked attributes and a marked label hold 58
+        # distinct (column, value) pairs: 0 and 1 per attribute, ten digits.
+        path = tmp_path / "led.csv"
+        spec = StreamSpec("led", length=2_000, seed=3)
+        dump_stream(spec, path)
+        calls = []
+        decode = streams._marked_code
+
+        def spy(path, line, column, value, card):
+            calls.append((column, value))
+            return decode(path, line, column, value, card)
+
+        monkeypatch.setattr(streams, "_marked_code", spy)
+        stream, original = load_csv_stream(path), generate_stream(spec)
+        columns = stream.schema.names + ("label",)
+        values = [{str(v) for v in column} for column in (*stream.X.T, stream.y)]
+        assert sorted(calls) == sorted((c, v) for c, vs in zip(columns, values) for v in vs)
+        assert len(calls) == 58
+        assert np.array_equal(stream.X, original.X) and np.array_equal(stream.y, original.y)
+
     def test_marked_cardinalities_survive_absent_values(self, tmp_path):
         # Value 2 and classes 2-3 never occur, yet they count for smoothing.
         path = tmp_path / "marked.csv"
