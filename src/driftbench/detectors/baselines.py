@@ -362,7 +362,8 @@ class ADWIN(DriftDetector):
         |mean(w0) - mean(w1)| >= sqrt( ln(4 n / delta) / (2 m) )
 
     with m the harmonic mean of the two part lengths and n the current
-    window length.  While any significant split exists, the whole older
+    window length; ``delta`` lies in (0, 1), and 4 ``max_window`` / delta
+    must be finite.  While any significant split exists, the whole older
     part up to the first significant split is shed; a step that shed
     anything reports Drift.  Shedding one element at a time would leave
     the window parked at the significance boundary, where every following
@@ -401,6 +402,8 @@ class ADWIN(DriftDetector):
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
         self.delta = float(delta)
         self.max_window = as_int("max_window", max_window, minimum=2)
+        if not math.isfinite(4.0 * self.max_window / self.delta):  # in scale(max_window)
+            raise ValueError(f"delta {delta} is too small: 4 * max_window / delta overflows")
         self._scales = _SCALES.setdefault(self.delta, np.array([-math.inf]))  # scale(0) = ln(0)/4
         self.reset()
 

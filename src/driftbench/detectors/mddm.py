@@ -131,10 +131,13 @@ def compute_epsilon(weights: Sequence[float], delta: float) -> float:
     Weight sums use compensated summation so long geometric windows do
     not lose precision.  The bound depends only on the normalised
     weights, so scaling every weight by a positive constant leaves it
-    unchanged.  Weights must be positive and finite, with a finite sum.
+    unchanged.  Weights must be positive and finite, with a finite sum,
+    and ``1 / delta`` must be finite.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not math.isfinite(1.0 / float(delta)):  # a float overflows to inf without a warning
+        raise ValueError(f"delta {delta} is too small: 1 / delta overflows")
     w = np.asarray(weights, dtype=np.float64)
     if w.size == 0:
         raise ValueError("weight vector must not be empty")
@@ -151,7 +154,7 @@ class MDDM(DriftDetector):
     Args:
         scheme: weight growth law (default arithmetic with step 0.01).
         n: window capacity in prediction bits.
-        delta: confidence level of the bound, in (0, 1).
+        delta: confidence level of the bound, in (0, 1), with 1 / delta finite.
         weights: optional explicit weight vector of length ``n``
             overriding the scheme-built one (weights must be positive;
             any positive rescaling yields identical behaviour).

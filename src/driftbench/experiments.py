@@ -38,8 +38,8 @@ from .detectors.mddm import DEFAULT_DELTA
 from .errors import DataFormatError, UsageError, as_int, open_output
 from .evaluation import AggregateRow, DriftScore, aggregate, score_run, unscored_row
 from .learners import _parse_policy, prequential_runs
-from .streams import (DEFAULT_LENGTH, DEFAULT_NOISE, FAMILIES, Stream, StreamSpec,
-                      default_schedule, generate_stream, load_csv_stream)
+from .streams import (DEFAULT_LENGTH, DEFAULT_NOISE, FAMILIES, ConceptSchedule, Stream,
+                      StreamSpec, default_schedule, generate_stream, load_csv_stream)
 
 # Window sizes and acceptable delays per stream family; wider windows and
 # delays suit the gradually drifting streams, CSV streams behave like the
@@ -121,6 +121,8 @@ class ExperimentConfig:
                 f"{', '.join(sorted(DETECTORS))}")
         if self.runs < 1:
             raise UsageError(f"runs must be >= 1, got {self.runs}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         for name in ("window_size", "accept_delay"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -171,11 +173,10 @@ def _build_stream_spec(config: ExperimentConfig, seed: int) -> StreamSpec:
                    if key in params}
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    # The spec checks the length before the schedule enumerates its drifts.
-    spec = StreamSpec(family=config.stream, length=length, noise=config.noise, seed=seed)
-    spec = replace(spec, schedule=default_schedule(spec.family, spec.length, **reshape))
-    spec.resolved_schedule()  # before any stream is generated
-    return spec
+    # The spec checks the length before the schedule enumerates its drifts;
+    # no drifts stand in until then, as the stock schedule may not fit.
+    spec = StreamSpec(config.stream, length, config.noise, ConceptSchedule((), 1), seed)
+    return replace(spec, schedule=default_schedule(spec.family, length, **reshape))
 
 
 def _build_detector(config: ExperimentConfig, window: int):

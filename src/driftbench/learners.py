@@ -90,24 +90,25 @@ class NaiveBayes:
         return self.total > 0
 
     def train(self, attributes, label: int) -> None:
-        """Absorb one labelled instance."""
+        """Absorb one labelled instance; one it rejects changes nothing."""
         if len(attributes) != len(self.schema.kinds):
             raise ValueError(
                 f"expected {len(self.schema.kinds)} attributes, "
                 f"got {len(attributes)}")
         if not 0 <= label < self.n_classes:
             raise ValueError(f"label {label} outside 0..{self.n_classes - 1}")
+        codes = [int(attributes[j]) for j, _ in self._nominal]
+        for (j, card), v in zip(self._nominal, codes):
+            if not 0 <= v < card:
+                raise ValueError(
+                    f"attribute {j} value {v} outside its cardinality {card}")
         self.total += 1
         self.class_counts[label] += 1.0
         for slot, j in enumerate(self._numeric):
             x = float(attributes[j])
             self.num_sums[label, slot] += x
             self.num_sumsqs[label, slot] += x * x
-        for (j, card), offset in zip(self._nominal, self._offsets):
-            v = int(attributes[j])
-            if not 0 <= v < card:
-                raise ValueError(
-                    f"attribute {j} value {v} outside its cardinality {card}")
+        for offset, v in zip(self._offsets, codes):
             self.nom_counts[label, offset + v] += 1.0
 
 
@@ -273,6 +274,8 @@ def prequential_runs(stream: Stream, detectors: Sequence[Optional[DriftDetector]
     kind, period = _parse_policy(policy)
     if kind == "blind" and any(detector is not None for detector in detectors):
         raise UsageError("the blind policy runs without a detector")
+    if repeated := [i for i, d in enumerate(detectors) if d is not None and d in detectors[:i]]:
+        raise ValueError(f"detector objects must be distinct; positions {repeated} repeat")
     if model is None:
         model = NaiveBayes(stream.schema)
     X, y = stream.X, stream.y

@@ -25,9 +25,8 @@ mask, then noise values).
 
 Each returned array is allocated once and filled in place, and every
 other array but led's noise mask (one byte a row) is scratch of
-``_PIECE`` rows.  The pieces of a draw take
-exactly the words one full-length call would, so a stream does not
-depend on the piece size:
+``_PIECE`` rows.  The pieces of a draw take exactly the words one
+full-length call would, so a stream does not depend on the piece size:
 
 * ``rng.random`` turns each 64-bit word into one double, so a draw split
   into pieces takes the same words in the same order, and skipping k
@@ -157,7 +156,8 @@ def default_schedule(family: str, length: int, every: Optional[int] = None,
 
 @dataclass(frozen=True)
 class StreamSpec:
-    """Recipe for one synthetic stream."""
+    """Recipe for one synthetic stream, checked when it is made: ``schedule``
+    is then the one it generates, by default the family's stock one."""
 
     family: str
     length: int = DEFAULT_LENGTH
@@ -176,9 +176,6 @@ class StreamSpec:
             raise UsageError(f"noise rate must lie in [0, 1), got {self.noise}")
         if self.seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
-
-    def resolved_schedule(self) -> ConceptSchedule:
-        """The schedule, checked against the length and the family's concepts."""
         sched = self.schedule or default_schedule(self.family, self.length)
         if sched.positions and sched.positions[-1] >= self.length:
             raise UsageError(
@@ -192,7 +189,7 @@ class StreamSpec:
             raise UsageError(
                 f"led layout defines {len(LED_DEFAULT_LAYOUT)} concepts, schedule needs "
                 f"{sched.concepts}")
-        return sched
+        object.__setattr__(self, "schedule", sched)
 
 
 @dataclass(frozen=True)
@@ -310,22 +307,15 @@ def _concept_draws(n: int, schedule: ConceptSchedule, rng: np.random.Generator) 
     return concept
 
 
-def _binary_noise(y: np.ndarray, noise: float, rng: np.random.Generator) -> None:
-    """Flip each 0/1 label with probability ``noise``, in place."""
-    for a, b in _pieces(0, y.shape[0]):
-        y[a:b] ^= rng.random(b - a) < noise
-
-
 def generate_stream(spec: StreamSpec) -> Stream:
     """Materialise the synthetic stream described by ``spec``.
 
     Each returned array is allocated once and filled in place; every
     other array is scratch of at most :data:`_PIECE` rows.
     """
-    schedule = spec.resolved_schedule()
+    schedule, noise = spec.schedule, spec.noise
     rng = np.random.default_rng(spec.seed)
-    n = spec.length
-    family = spec.family
+    n, family = spec.length, spec.family
 
     if family == "sine1":
         y = np.empty(n, dtype=np.int64)
@@ -333,8 +323,8 @@ def generate_stream(spec: StreamSpec) -> Stream:
         concept = _concept_draws(n, schedule, rng)
         for a, b in _pieces(0, n):
             xy = X[a:b]
-            y[a:b] = (xy[:, 1] < np.sin(xy[:, 0])) ^ (concept[a:b] % 2)
-        _binary_noise(y, spec.noise, rng)
+            y[a:b] = ((xy[:, 1] < np.sin(xy[:, 0])) ^ (concept[a:b] % 2)
+                      ^ (rng.random(b - a) < noise))
         schema = StreamSchema(("x", "y"), (NUMERIC, NUMERIC), (0, 0), 2)
 
     elif family == "mixed":
@@ -348,8 +338,8 @@ def generate_stream(spec: StreamSpec) -> Stream:
         for a, b in _pieces(0, n):
             vwxy = X[a:b]
             third = vwxy[:, 3] < 0.5 + 0.3 * np.sin(3.0 * np.pi * vwxy[:, 2])
-            y[a:b] = ((vwxy[:, 0] + vwxy[:, 1] + third) >= 2) ^ (concept[a:b] % 2)
-        _binary_noise(y, spec.noise, rng)
+            y[a:b] = (((vwxy[:, 0] + vwxy[:, 1] + third) >= 2) ^ (concept[a:b] % 2)
+                      ^ (rng.random(b - a) < noise))
         schema = StreamSchema(("v", "w", "x", "y"),
                               (NOMINAL, NOMINAL, NUMERIC, NUMERIC),
                               (2, 2, 0, 0), 2)
@@ -361,8 +351,8 @@ def generate_stream(spec: StreamSpec) -> Stream:
         cx, cy, r = np.array([(cx, cy, r) for (cx, cy), r in CIRCLES]).T
         for a, b in _pieces(0, n):
             xy, c = X[a:b], concept[a:b]
-            y[a:b] = ((xy[:, 0] - cx[c]) ** 2 + (xy[:, 1] - cy[c]) ** 2) <= r[c] * r[c]
-        _binary_noise(y, spec.noise, rng)
+            y[a:b] = ((((xy[:, 0] - cx[c]) ** 2 + (xy[:, 1] - cy[c]) ** 2) <= r[c] * r[c])
+                      ^ (rng.random(b - a) < noise))
         schema = StreamSchema(("x", "y"), (NUMERIC, NUMERIC), (0, 0), 2)
 
     else:  # led
@@ -385,7 +375,7 @@ def generate_stream(spec: StreamSpec) -> Stream:
                     attrs[rows[:, None], cols] = segments[rows]
         flips = np.empty(n, dtype=bool)  # all n flip draws come before the n offsets
         for a, b in _pieces(0, n):
-            flips[a:b] = rng.random(b - a) < spec.noise
+            flips[a:b] = rng.random(b - a) < noise
         for a, b in _pieces(0, n):
             flip, digits = flips[a:b], y[a:b]
             digits[flip] = (digits[flip] + rng.integers(1, 10, size=b - a)[flip]) % 10
@@ -594,7 +584,6 @@ def dump_stream(spec: StreamSpec, path) -> None:
     (Laplace smoothing divides by both, even where a short file misses a
     value).  Identical specs produce byte-identical files.
     """
-    spec.resolved_schedule()  # a bad schedule fails before the file is made
     open_output(path, "a").close()  # fail before generating, truncating nothing
     stream = generate_stream(spec)
     schema = stream.schema

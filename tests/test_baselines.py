@@ -482,6 +482,15 @@ class TestAdwin:
         with pytest.raises(ValueError):
             ADWIN(max_window=1)
 
+    def test_delta_whose_bound_overflows_is_refused(self):
+        # scale(n) = ln(4 n / delta) / 4 must be finite up to max_window.
+        for delta, max_window in ((1e-310, 32768), (1e-303, 1 << 20)):
+            with pytest.raises(ValueError, match="4 \\* max_window / delta overflows"):
+                ADWIN(delta=delta, max_window=max_window)
+        bits = np.r_[np.ones(5000), np.zeros(5000)].astype(bool)
+        for delta in (1e-303, 1e-300):
+            assert ADWIN(delta=delta).drift_points(bits)
+
     @pytest.mark.parametrize("max_window", [2, 3, 17, 64, 500, 32768])
     @pytest.mark.parametrize("delta", [1e-6, 0.002, 0.05, 0.3])
     def test_scan_matches_stride_one_reference(self, delta, max_window):

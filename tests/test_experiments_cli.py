@@ -682,10 +682,9 @@ class TestOutOfDomainValues:
         path = tmp_path / "x.csv"
         path.write_text("kept\n")
         # Five drifts are more than circles' four concepts allow.
-        spec = StreamSpec("circles", length=600, schedule=ConceptSchedule(
-            (100, 200, 300, 400, 500), 50))
         with pytest.raises(UsageError, match="at most 3 drifts"):
-            dump_stream(spec, path)
+            dump_stream(StreamSpec("circles", length=600, schedule=ConceptSchedule(
+                (100, 200, 300, 400, 500), 50)), path)
         assert path.read_text() == "kept\n"
 
     def test_window_longer_than_a_csv_stream_fails_its_cell(self, tmp_path):
@@ -775,6 +774,29 @@ class TestOutOfDomainValues:
         assert "internal error" not in err and "seed must be >= 0" in err
         with pytest.raises(UsageError, match="seed"):
             StreamSpec("sine1", seed=-1)
+
+    def test_negative_seed_with_a_csv_stream_is_usage_error(self, tmp_path, capsys):
+        path, out = tmp_path / "short.csv", tmp_path / "runs.csv"
+        dump_stream(StreamSpec("mixed", length=40, seed=3), path)
+        assert main(["--stream", str(path), "--seed", "-5", "--runs", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "seed must be >= 0, got -5" in err
+        assert not out.exists()
+        with pytest.raises(UsageError, match="seed must be >= 0"):
+            ExperimentConfig(stream=str(path), seed=-5)
+
+    @pytest.mark.parametrize("detector,setting", [
+        ("fhddm", ["--delta", "1e-310"]), ("mddm_a", ["--set", "delta=1e-310"]),
+        ("adwin", ["--set", "delta=1e-310"])])
+    def test_delta_whose_bound_overflows_is_usage_error(self, detector, setting, capsys):
+        # fhddm at 1e-310 had an infinite epsilon and never alarmed; ADWIN
+        # warned and found no drift.
+        code = main(["--stream", "sine1", "--detector", detector, "--runs", "1",
+                     "--set", "length=2000"] + setting)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and detector in err and "overflows" in err
 
     @pytest.mark.parametrize("field", ["window_size", "accept_delay"])
     def test_config_rejects_zero(self, field):
@@ -877,10 +899,19 @@ class TestDumpSchedule:
                      "--set", "drift_every=100"]) == 2
         assert "circles supports at most 3 drifts, schedule has 5" in capsys.readouterr().err
         assert not path.exists()
-        spec = StreamSpec("circles", length=600, schedule=ConceptSchedule((100, 200, 300, 400), 5))
         with pytest.raises(UsageError, match="at most 3 drifts, schedule has 4"):
-            dump_stream(spec, path)
+            dump_stream(StreamSpec("circles", length=600,
+                                   schedule=ConceptSchedule((100, 200, 300, 400), 5)), path)
         assert not path.exists()
+
+    def test_reshaped_schedule_need_not_fit_the_stock_one(self):
+        # The stock circles schedule of 200k rows has 7 drifts, more than
+        # circles allows; the reshaped one has 3.
+        config = ExperimentConfig(stream="circles", params={"length": 200_000,
+                                                            "drift_every": 60_000})
+        spec = experiments._build_stream_spec(config, 4)
+        assert spec.schedule == ConceptSchedule((60_000, 120_000, 180_000), 500)
+        assert (spec.length, spec.seed) == (200_000, 4)
 
     def test_dump_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "dump.csv"

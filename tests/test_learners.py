@@ -178,6 +178,20 @@ class TestNaiveBayes:
         with pytest.raises(ValueError):
             model.train([0.1], 7)
 
+    @pytest.mark.parametrize("attrs, label", [([0.5, 7], 1), ([0.5, -1], 0),
+                                              ([0.5, 1, 2], 0), ([0.5, 1], 2)],
+                             ids=["code_above", "code_below", "arity", "label"])
+    def test_rejected_instance_changes_nothing(self, attrs, label):
+        model = NaiveBayes(make_schema([NUMERIC, NOMINAL], [0, 3]))
+        model.train([0.25, 2], 0)
+        before = {name: getattr(model, name).copy()
+                  for name in ("class_counts", "num_sums", "num_sumsqs", "nom_counts")}
+        with pytest.raises(ValueError):
+            model.train(attrs, label)
+        assert model.total == 1
+        for name, array in before.items():
+            assert np.array_equal(getattr(model, name), array), name
+
     def test_variance_floor_on_constant_attribute(self):
         model = NaiveBayes(make_schema([NUMERIC, NUMERIC], [0, 0]))
         for _ in range(5):
@@ -539,6 +553,15 @@ class TestSharedTimelines:
         stream = generate_stream(StreamSpec("sine1", length=10, seed=1))
         with pytest.raises(UsageError):
             prequential_runs(stream, [None, CUSUM()], "blind:5")
+
+    def test_repeated_detector_object_is_refused(self):
+        # One object listed twice would be scanned twice per block.
+        stream = generate_stream(StreamSpec("circles", length=3_000, seed=3))
+        adwin, cusum = ADWIN(), CUSUM()
+        with pytest.raises(ValueError, match=r"positions \[2, 4\] repeat"):
+            prequential_runs(stream, [adwin, None, adwin, cusum, cusum, None])
+        records = prequential_runs(stream, [None, adwin, None])
+        assert records[0] == records[2]
 
     def test_passed_model_is_the_single_runs_model(self):
         stream = generate_stream(StreamSpec("sine1", length=6_000, seed=3))

@@ -158,6 +158,20 @@ class TestComputeEpsilon:
         with pytest.raises(ValueError):
             compute_epsilon([1.0, -1.0], 0.5)
 
+    def test_delta_whose_inverse_overflows_is_refused(self):
+        # 1 / 1e-310 is inf, which would make epsilon inf and the detector mute.
+        for build in (lambda: compute_epsilon(np.ones(1000), 1e-310),
+                      lambda: fhddm(n=1000, delta=1e-310),
+                      lambda: MDDM(Arithmetic(0.01), n=25, delta=5e-324)):
+            with pytest.raises(ValueError, match="1 / delta overflows"):
+                build()
+        # The smallest confidences that work keep the bound's formula.
+        v = np.ones(1000) / 1000.0
+        want = math.sqrt(math.fsum(v * v) / 2.0 * math.log(1.0 / 1e-300))
+        assert fhddm(n=1000, delta=1e-300).epsilon == want
+        bits = np.r_[np.ones(5000), np.zeros(5000)].astype(bool)
+        assert fhddm(n=1000, delta=1e-300).drift_points(bits) == [5587]
+
     def test_monotone_in_window_size(self):
         eps = [compute_epsilon(np.ones(n), 1e-6) for n in (5, 10, 25, 50, 100)]
         assert all(b < a for a, b in zip(eps, eps[1:]))

@@ -12,6 +12,7 @@ from driftbench import (
     NaiveBayes,
     StreamSpec,
     UsageError,
+    default_schedule,
     drift_probability,
     dump_stream,
     generate_stream,
@@ -25,6 +26,7 @@ from driftbench.streams import (
     LED_DEFAULT_LAYOUT,
     LED_SEGMENTS,
     MAX_CARDINALITY,
+    MAX_LENGTH,
     NOMINAL,
     NUMERIC,
     _concept_draws,
@@ -77,7 +79,7 @@ def full_length_stream(spec):
     """X, y and concepts from the documented draws taken as whole arrays,
     with the binary families' labels from the scalar rules; led's X holds
     int16 codes, the other families' X float64."""
-    schedule = spec.resolved_schedule()
+    schedule = spec.schedule
     rng = np.random.default_rng(spec.seed)
     n = spec.length
     if spec.family == "led":
@@ -339,6 +341,25 @@ class TestGenerateStream:
             StreamSpec("sine1", noise=1.0)
         with pytest.raises(UsageError):
             StreamSpec("sine1", length=0)
+
+    def test_schedule_is_resolved_and_checked_when_made(self):
+        assert StreamSpec("sine1").schedule == default_schedule("sine1", 100_000)
+        custom = ConceptSchedule((100, 200), 5)
+        assert StreamSpec("led", length=600, schedule=custom).schedule is custom
+        for family, length, schedule, message in (
+                ("circles", 600, ConceptSchedule((100, 200, 300, 400), 5),
+                 "circles supports at most 3 drifts, schedule has 4"),
+                ("circles", 200_000, None, "circles supports at most 3 drifts, schedule has 7"),
+                ("led", 600, ConceptSchedule((100, 200, 300, 400), 5),
+                 "led layout defines 4 concepts, schedule needs 5"),
+                ("sine1", 1_000, ConceptSchedule((2_000,), 50),
+                 "drift position 2000 is beyond the stream length 1000"),
+                # The length is checked before the stock schedule is made.
+                ("circles", MAX_LENGTH + 1, None,
+                 f"stream length must lie in [1, {MAX_LENGTH}], got {MAX_LENGTH + 1}")):
+            with pytest.raises(UsageError) as caught:
+                StreamSpec(family, length=length, schedule=schedule)
+            assert str(caught.value) == message
 
     def test_default_schedules(self):
         sine = generate_stream(StreamSpec("sine1", seed=0, length=100_000))
