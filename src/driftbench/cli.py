@@ -148,8 +148,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         streams = [s.strip() for s in args.stream.split(",") if s.strip()]
         if not streams:
             raise UsageError(f"--stream {args.stream!r} names no stream")
-        detectors = [d.strip() for d in (args.detector or ExperimentConfig.detector).split(",")
-                     if d.strip()]
+        detector = ExperimentConfig.detector if args.detector is None else args.detector
+        detectors = [d.strip() for d in detector.split(",") if d.strip()]
+        if not detectors:
+            raise UsageError(f"--detector {args.detector!r} names no detector")
         base = ExperimentConfig(stream=streams[0], params=params, **given)
         report = run_matrix(streams, detectors, base, out=args.out)
         table = format_console_table(report.aggregates)

@@ -363,13 +363,15 @@ class ADWIN(DriftDetector):
 
     with m the harmonic mean of the two part lengths and n the current
     window length; ``delta`` lies in (0, 1), and 4 ``max_window`` / delta
-    must be finite.  While any significant split exists, the whole older
-    part up to the first significant split is shed; a step that shed
-    anything reports Drift.  Shedding one element at a time would leave
-    the window parked at the significance boundary, where every following
-    step alarms again.  Evictions that merely keep the buffer inside
-    ``max_window`` are bookkeeping, not alarms.  Splits are checked at
-    stride 1 with no bucket compression.
+    must be finite.  ``max_window`` lies in [2, 2**53]: 2**53 is the
+    largest count float64 prefix sums hold exactly, which the rounding
+    argument below assumes.  While any significant split exists, the
+    whole older part up to the first significant split is shed; a step
+    that shed anything reports Drift.  Shedding one element at a time
+    would leave the window parked at the significance boundary, where
+    every following step alarms again.  Evictions that merely keep the
+    buffer inside ``max_window`` are bookkeeping, not alarms.  Splits are
+    checked at stride 1 with no bucket compression.
 
     :meth:`scan` looks ahead at the bits it is given.  Multiplied out, the
     split of an n-bit window with mean c after its k oldest bits, which
@@ -402,6 +404,8 @@ class ADWIN(DriftDetector):
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
         self.delta = float(delta)
         self.max_window = as_int("max_window", max_window, minimum=2)
+        if self.max_window > 2**53:
+            raise ValueError(f"max_window must be <= 2**53, got {self.max_window}")
         if not math.isfinite(4.0 * self.max_window / self.delta):  # in scale(max_window)
             raise ValueError(f"delta {delta} is too small: 4 * max_window / delta overflows")
         self._scales = _SCALES.setdefault(self.delta, np.array([-math.inf]))  # scale(0) = ln(0)/4

@@ -17,11 +17,13 @@ task, the tasks run in ``min(available cores, tasks)`` processes forked
 for the call, which inherit the built cells and take one task at a time,
 so each process holds one stream at a time; a single task, one available
 core or a platform without ``fork`` runs the tasks in-process.  Last, the
-parent puts the runs back in (stream, run) order, scores and aggregates
-them.  Output order stays cell-major (cells in the given order, runs by
-index), and every run sees the same stream, a fresh learner and a reset
-detector, exactly as a cell run alone would, so identical
-configurations produce byte-identical CSV output on any number of cores.
+parent reads the tasks' records in task order, hands each live cell its
+records run by run, scores them against the stream's schedule, which
+does not depend on the seed, and aggregates them.  Output order stays
+cell-major (cells in the given order, runs by index), and every run
+sees the same stream, a fresh learner and a reset detector, exactly as
+a cell run alone would, so identical configurations produce
+byte-identical CSV output on any number of cores.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .detectors import (ADWIN, CUSUM, DDM, EDDM, MDDM, RDDM, Arithmetic, DriftDe
 from .detectors.mddm import DEFAULT_DELTA
 from .errors import DataFormatError, UsageError, as_int, open_output
 from .evaluation import AggregateRow, DriftScore, aggregate, score_run, unscored_row
-from .learners import _parse_policy, prequential_runs
+from .learners import RunRecord, _parse_policy, prequential_runs
 from .streams import (DEFAULT_LENGTH, DEFAULT_NOISE, FAMILIES, ConceptSchedule, Stream,
                       StreamSpec, default_schedule, generate_stream, load_csv_stream)
 
@@ -119,14 +121,14 @@ class ExperimentConfig:
             raise UsageError(
                 f"unknown detector {self.detector!r}; valid names: "
                 f"{', '.join(sorted(DETECTORS))}")
-        if self.runs < 1:
-            raise UsageError(f"runs must be >= 1, got {self.runs}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.seed}")
-        for name in ("window_size", "accept_delay"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise UsageError(f"{name} must be >= 1, got {value}")
+        try:
+            object.__setattr__(self, "runs", as_int("runs", self.runs, 1))
+            object.__setattr__(self, "seed", as_int("seed", self.seed, 0))
+            for name in ("window_size", "accept_delay"):
+                if getattr(self, name) is not None:
+                    object.__setattr__(self, name, as_int(name, getattr(self, name), 1))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         # Keys only need to be meaningful to SOME detector so one --set can
         # serve a whole matrix; each detector takes the keys it understands.
         known = STREAM_PARAM_KEYS.union(*(keys for _, keys in DETECTORS.values()))
@@ -232,7 +234,7 @@ class MatrixReport:
 CELL_ERRORS = (UsageError, DataFormatError, OSError)
 
 
-@dataclass(eq=False)
+@dataclass
 class _Cell:
     """A plan's cell: its configuration and detector, or what failed it."""
 
@@ -245,7 +247,8 @@ class _Cell:
 @dataclass
 class _StreamPlan:
     """One stream's cells, built by the parent before any run, and its
-    stream: ``spec`` of run 0 (run i takes seed + i) or ``csv_stream``."""
+    stream: ``spec`` of run 0 (run i takes seed + i; its schedule and
+    length score every run) or ``csv_stream``."""
 
     stream: str
     cells: list[_Cell]
@@ -294,10 +297,9 @@ def _plan_stream(stream: str, detectors: list[str], base: ExperimentConfig) -> _
     return plan
 
 
-def _run_seed(plan: _StreamPlan, run: int):
+def _run_seed(plan: _StreamPlan, run: int) -> list[RunRecord]:
     """Run ``run`` of every live cell of ``plan``: one stream, one
-    ``prequential_runs`` call.  Returns each live cell's ``(alarms,
-    accuracy)`` with the stream's drift positions and length."""
+    ``prequential_runs`` call, whose records it returns."""
     live = plan.live
     config = live[0].config
     data = (plan.csv_stream if plan.csv_stream is not None
@@ -305,8 +307,7 @@ def _run_seed(plan: _StreamPlan, run: int):
     for cell in live:
         if cell.detector is not None:
             cell.detector.reset()
-    records = prequential_runs(data, [cell.detector for cell in live], policy=config.policy)
-    return [(r.alarms, r.accuracy) for r in records], data.drift_positions, len(data)
+    return prequential_runs(data, [cell.detector for cell in live], policy=config.policy)
 
 
 # The plans of the call that forked this process, filled in by the pool's
@@ -328,12 +329,12 @@ def _cores() -> int:
 
 
 def _run_tasks(plans: list[_StreamPlan], tasks: list[tuple[int, int]]) -> list:
-    """Each ``(plan index, run)`` task's outcome, in task order.
+    """Each ``(plan index, run)`` task's records, in task order.
 
     With more than one task and core, the tasks run in ``min(cores,
     tasks)`` processes forked for the call, one task at a time.  Fork
     lets them inherit the built plans and the imported package, which a
-    fresh interpreter would rebuild; a task sends back only its outcome.
+    fresh interpreter would rebuild; a task sends back only its records.
     Otherwise, and where fork is missing, the tasks run in this process.
     The workers are joined before this returns, also when a task raises
     or a worker dies.
@@ -354,35 +355,21 @@ def _run_tasks(plans: list[_StreamPlan], tasks: list[tuple[int, int]]) -> list:
     return [_run_seed(plans[plan], run) for plan, run in tasks]
 
 
-def _run_plans(plans: list[_StreamPlan]) -> list[CellResult]:
-    """Every plan's cells, in order: one task per (stream, run), the
-    results gathered back in (stream, run) order."""
-    tasks = [(p, run) for p, plan in enumerate(plans) if plan.live
-             for run in range(plan.live[0].config.runs)]
-    outcomes = _run_tasks(plans, tasks)
-    cells = []
-    for p, plan in enumerate(plans):
-        runs, live = [o for (q, _), o in zip(tasks, outcomes) if q == p], plan.live
-        for cell in plan.cells:
-            result = None if cell.error else _cell_result(cell.config, runs, live.index(cell))
-            cells.append(CellResult(plan.stream, cell.name, result, cell.error))
-    return cells
-
-
-def _cell_result(config: ExperimentConfig, outcomes: list, k: int) -> ExperimentResult:
-    """Live cell ``k``'s runs, scored, and their aggregate."""
+def _cell_result(config: ExperimentConfig, spec: Optional[StreamSpec],
+                 records: tuple[RunRecord, ...]) -> ExperimentResult:
+    """A live cell's runs, scored against ``spec``'s schedule (a CSV
+    stream has no spec and is not scored), and their aggregate."""
     family = _stream_family(config)
     accept_delay = (ACCEPT_DELAY_DEFAULTS.get(family) if config.accept_delay is None
                     else config.accept_delay)
     runs = []
-    for run, (records, drift_positions, length) in enumerate(outcomes):
-        alarms, accuracy = records[k]
-        score = None if config.is_csv else score_run(
-            alarms, drift_positions, accept_delay, length, accuracy)
+    for run, record in enumerate(records):
+        score = None if spec is None else score_run(
+            record.alarms, spec.schedule.positions, accept_delay, spec.length, record.accuracy)
         runs.append(RunResult(config.stream, config.detector, config.seed + run, run,
-                              alarms, accuracy, score))
+                              record.alarms, record.accuracy, score))
     alarm_counts = [len(r.alarms) for r in runs]
-    if config.is_csv:
+    if spec is None:
         agg = unscored_row(config.stream, config.detector,
                            [r.accuracy for r in runs], alarm_counts)
     else:
@@ -396,7 +383,17 @@ def run_matrix(streams: list[str], detectors: list[str],
     """Run every (stream, detector) cell of ``base``; cell failures are isolated.
     ``out`` names the per-run CSV, written with its ``_aggregate`` twin."""
     _probe_outputs(out)
-    report = MatrixReport(_run_plans([_plan_stream(s, detectors, base) for s in streams]))
+    plans = [_plan_stream(s, detectors, base) for s in streams]
+    tasks = [(p, run) for p, plan in enumerate(plans) if plan.live
+             for run in range(base.runs)]
+    outcomes = iter(_run_tasks(plans, tasks))
+    report = MatrixReport([])
+    for plan in plans:
+        # A plan's tasks are its runs in order, each a record per live cell.
+        per_cell = iter(zip(*[next(outcomes) for _ in range(base.runs)]) if plan.live else ())
+        for cell in plan.cells:
+            result = None if cell.error else _cell_result(cell.config, plan.spec, next(per_cell))
+            report.cells.append(CellResult(plan.stream, cell.name, result, cell.error))
     if out:
         write_run_csv(out, [run for c in report.cells if c.result is not None
                             for run in c.result.runs])

@@ -50,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataFormatError, UsageError, open_output
+from .errors import DataFormatError, UsageError, as_int, open_output
 
 NUMERIC = "numeric"
 NOMINAL = "nominal"
@@ -120,8 +120,13 @@ class ConceptSchedule:
     transition: int
 
     def __post_init__(self):
-        if self.transition < 1:
-            raise UsageError(f"transition length must be >= 1, got {self.transition}")
+        try:
+            object.__setattr__(self, "transition",
+                               as_int("transition length", self.transition, 1))
+            object.__setattr__(self, "positions",
+                               tuple(as_int("drift position", t, 0) for t in self.positions))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         if any(b <= a for a, b in zip(self.positions, self.positions[1:])):
             raise UsageError("drift positions must be strictly increasing")
 
@@ -150,8 +155,22 @@ def default_schedule(family: str, length: int, every: Optional[int] = None,
     every = stock_every if every is None else every
     if every < 1:
         raise UsageError(f"drift spacing must be >= 1, got {every}")
-    return ConceptSchedule(tuple(range(every, length, every)),
+    positions = range(every, length, every)
+    _check_drifts(family, len(positions))  # before a long schedule is enumerated
+    return ConceptSchedule(tuple(positions),
                            stock_transition if transition is None else transition)
+
+
+def _check_drifts(family: str, drifts: int) -> None:
+    """Refuse more drifts than ``family`` defines concepts for: circles has
+    one circle per concept, led's layout one segment placement."""
+    if family == "circles" and drifts >= len(CIRCLES):
+        raise UsageError(
+            f"circles supports at most {len(CIRCLES) - 1} drifts, schedule has {drifts}")
+    if family == "led" and drifts >= len(LED_DEFAULT_LAYOUT):
+        raise UsageError(
+            f"led layout defines {len(LED_DEFAULT_LAYOUT)} concepts, schedule needs "
+            f"{drifts + 1}")
 
 
 @dataclass(frozen=True)
@@ -169,26 +188,22 @@ class StreamSpec:
         object.__setattr__(self, "family", self.family.lower())
         if self.family not in FAMILIES:
             raise UsageError(f"unknown stream family {self.family!r}")
+        try:
+            object.__setattr__(self, "length", as_int("stream length", self.length))
+            object.__setattr__(self, "seed", as_int("seed", self.seed, 0))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         if not 1 <= self.length <= MAX_LENGTH:
             raise UsageError(
                 f"stream length must lie in [1, {MAX_LENGTH}], got {self.length}")
         if not 0.0 <= self.noise < 1.0:
             raise UsageError(f"noise rate must lie in [0, 1), got {self.noise}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.seed}")
         sched = self.schedule or default_schedule(self.family, self.length)
         if sched.positions and sched.positions[-1] >= self.length:
             raise UsageError(
                 f"drift position {sched.positions[-1]} is beyond the stream "
                 f"length {self.length}")
-        if self.family == "circles" and sched.concepts > len(CIRCLES):
-            raise UsageError(
-                f"circles supports at most {len(CIRCLES) - 1} drifts, "
-                f"schedule has {len(sched.positions)}")
-        if self.family == "led" and sched.concepts > len(LED_DEFAULT_LAYOUT):
-            raise UsageError(
-                f"led layout defines {len(LED_DEFAULT_LAYOUT)} concepts, schedule needs "
-                f"{sched.concepts}")
+        _check_drifts(self.family, len(sched.positions))
         object.__setattr__(self, "schedule", sched)
 
 

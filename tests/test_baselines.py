@@ -491,6 +491,16 @@ class TestAdwin:
         for delta in (1e-303, 1e-300):
             assert ADWIN(delta=delta).drift_points(bits)
 
+    def test_max_window_above_exact_counts_is_refused(self):
+        # 2**53 + 1 used to build, then overflow in the first scan's look-ahead.
+        with pytest.raises(ValueError, match=r"max_window must be <= 2\*\*53"):
+            ADWIN(max_window=2**53 + 1)
+
+    def test_max_window_at_its_bound_scans_like_the_default(self):
+        bits = np.r_[np.ones(3000), np.zeros(3000)].astype(bool)
+        hit = ADWIN().scan(bits)
+        assert hit is not None and ADWIN(max_window=2**53).scan(bits) == hit
+
     @pytest.mark.parametrize("max_window", [2, 3, 17, 64, 500, 32768])
     @pytest.mark.parametrize("delta", [1e-6, 0.002, 0.05, 0.3])
     def test_scan_matches_stride_one_reference(self, delta, max_window):

@@ -468,12 +468,14 @@ class TestCli:
         (["--set", "k=abc"], "--set k: 'abc' is not a number"),
         (["--set", "k=inf"], "--set k: 'inf' is not a finite number"),
         (["--stream", ","], "--stream ',' names no stream"),
+        (["--detector", ","], "--detector ',' names no detector"),
+        (["--detector", ""], "--detector '' names no detector"),
         (["--stream", "sine1,led", "--dump", "{dump}"], "--dump needs exactly one synthetic"),
         (["--set", "drift_every=0"], "drift spacing must be >= 1, got 0"),
         (["--set", "zeta=0"], "transition length must be >= 1, got 0")],
         ids=["config_line", "config_missing", "set_no_value", "set_not_number",
-             "set_not_finite", "stream_empty", "dump_two_streams", "drift_every_0",
-             "zeta_0"])
+             "set_not_finite", "stream_empty", "detector_comma", "detector_empty",
+             "dump_two_streams", "drift_every_0", "zeta_0"])
     def test_usage_errors_exit_2(self, args, message, tmp_path, capsys):
         conf = tmp_path / "exp.conf"
         conf.write_text("stream=sine1\nno equals sign\n")
@@ -623,7 +625,7 @@ class TestDetectorTable:
 class TestOutOfDomainValues:
     @pytest.mark.parametrize("detector,setting", [
         ("mddm_a", "delta=2"), ("ddm", "warning_level=5"), ("adwin", "max_window=1"),
-        ("cusum", "lambda=-1"), ("mddm_a", "d=-1")])
+        ("cusum", "lambda=-1"), ("mddm_a", "d=-1"), ("adwin", "max_window=1e30")])
     def test_bad_set_value_is_usage_error(self, detector, setting, capsys):
         code = main(["--stream", "sine1", "--detector", detector, "--runs", "1",
                      "--set", "length=2000", "--set", setting])
@@ -765,6 +767,21 @@ class TestOutOfDomainValues:
         assert "stream length" in done.stderr
         assert time.monotonic() - started < 20
 
+    @pytest.mark.parametrize("stream,message", [
+        ("circles", "circles supports at most 3 drifts"),
+        ("led", "led layout defines 4 concepts")], ids=["circles", "led"])
+    def test_reshaped_schedule_over_the_concept_cap_exits_2_at_once(self, stream, message,
+                                                                    tmp_path):
+        # The drifts are counted before the schedule enumerates them: about
+        # 10**8 positions used to end in a MemoryError under the cap.
+        started = time.monotonic()
+        path = tmp_path / "x.csv"
+        done = run_capped(["--stream", stream, "--set", "length=100000000",
+                           "--set", "drift_every=1", "--dump", str(path)])
+        assert done.returncode == 2, done.stderr
+        assert message in done.stderr and not path.exists()
+        assert time.monotonic() - started < 20
+
     @pytest.mark.parametrize("extra", [["--detector", "mddm_a", "--runs", "1"], ["--dump"]])
     def test_negative_seed_is_usage_error(self, extra, tmp_path, capsys):
         if extra == ["--dump"]:
@@ -802,6 +819,28 @@ class TestOutOfDomainValues:
     def test_config_rejects_zero(self, field):
         with pytest.raises(UsageError, match=field):
             ExperimentConfig(stream="sine1", **{field: 0})
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("runs", 2.5, "runs must be an integer, got 2.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("window_size", 25.5, "window_size must be an integer, got 25.5"),
+        ("accept_delay", 250.5, "accept_delay must be an integer, got 250.5"),
+        ("runs", 0, "runs must be >= 1, got 0"),
+        ("seed", -5, "seed must be >= 0, got -5")])
+    def test_config_checks_its_integer_fields(self, field, value, message):
+        # runs=2.5 used to fail inside run_matrix with a TypeError, and
+        # accept_delay=250.5 was scored with the fractional delay.
+        with pytest.raises(UsageError) as caught:
+            ExperimentConfig(stream="sine1", **{field: value})
+        assert str(caught.value) == message
+
+    def test_config_keeps_whole_numbers_as_ints(self):
+        config = ExperimentConfig(stream="sine1", runs=2.0, seed=np.int64(3),
+                                  accept_delay=250.0, params=FAST)
+        assert (config.runs, config.seed, config.accept_delay) == (2, 3, 250)
+        runs = run_matrix(["sine1"], ["none"], config).cells[0].result.runs
+        assert [(r.seed, r.run) for r in runs] == [(3, 0), (4, 1)]
+        assert {type(r.seed) for r in runs} == {int}
 
     def test_mixed_csv_labels_are_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "labels.csv"

@@ -361,6 +361,33 @@ class TestGenerateStream:
                 StreamSpec(family, length=length, schedule=schedule)
             assert str(caught.value) == message
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: StreamSpec("sine1", length=2500.5),
+         "stream length must be an integer, got 2500.5"),
+        (lambda: StreamSpec("sine1", seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: StreamSpec("sine1", seed=-5), "seed must be >= 0, got -5"),
+        (lambda: ConceptSchedule((100.5, 200), 5),
+         "drift position must be an integer, got 100.5"),
+        (lambda: ConceptSchedule((-5, 100), 5), "drift position must be >= 0, got -5"),
+        (lambda: ConceptSchedule((100, 200), 5.5),
+         "transition length must be an integer, got 5.5"),
+        (lambda: ConceptSchedule((100, 200), 0), "transition length must be >= 1, got 0")],
+        ids=["length_fraction", "seed_fraction", "seed_negative", "position_fraction",
+             "position_negative", "transition_fraction", "transition_0"])
+    def test_integer_fields_are_checked_when_made(self, make, message):
+        # Fractions used to construct and fail in generate_stream with a TypeError.
+        with pytest.raises(UsageError) as caught:
+            make()
+        assert str(caught.value) == message
+
+    def test_whole_numbers_are_kept_as_ints(self):
+        spec = StreamSpec("sine1", length=2500.0, seed=np.int64(3),
+                          schedule=ConceptSchedule((1000.0,), 5.0))
+        fields = (spec.length, spec.seed, spec.schedule.transition, *spec.schedule.positions)
+        assert fields == (2500, 3, 5, 1000) and {type(v) for v in fields} == {int}
+        stream = generate_stream(spec)
+        assert len(stream) == 2500 and stream.drift_positions == (1000,)
+
     def test_default_schedules(self):
         sine = generate_stream(StreamSpec("sine1", seed=0, length=100_000))
         assert sine.drift_positions == (20_000, 40_000, 60_000, 80_000)
