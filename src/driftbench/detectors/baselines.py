@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import as_int
+from ..streams import MAX_LENGTH
 from .base import DriftDetector, bit_list
 
 
@@ -245,7 +246,9 @@ class RDDM(DDM):
     recomputed by replaying the stored error bits from the start of the
     active warning episode (bounded by ``min_stable``), which keeps the
     detector responsive right after large drifts; with no episode
-    active only the triggering bit is replayed.
+    active only the triggering bit is replayed.  ``min_stable`` sizes that
+    ring of stored bits and is at most ``streams.MAX_LENGTH``, the longest
+    synthetic stream, which a longer ring could never fill.
     """
 
     def __init__(self, warning_level: float = 1.773, drift_level: float = 2.258,
@@ -253,6 +256,8 @@ class RDDM(DDM):
                  warn_limit: int = 1400, min_instances: int = 129):
         self.max_concept = as_int("max_concept", max_concept, minimum=1)
         self.min_stable = as_int("min_stable", min_stable, minimum=0)
+        if self.min_stable > MAX_LENGTH:
+            raise ValueError(f"min_stable must be <= {MAX_LENGTH}, got {self.min_stable}")
         self.warn_limit = as_int("warn_limit", warn_limit)
         super().__init__(warning_level, drift_level, min_instances)
 

@@ -22,20 +22,21 @@ p + 1 when they join.  Under ``none`` and ``blind`` every detector stays
 on one timeline.
 
 Each timeline works block-wise: within a stretch where the model is not
-reset, the predictions of every class are vectorised over
-``(classes, block)`` arrays by seeding row-wise NumPy cumulative sums
-with the model's current statistics, which reproduces the per-instance
-arithmetic bit for bit (cumsum accumulates left to right exactly like
-repeated ``+=``), so block boundaries never change a bit.  The nominal
-counts of a block come from one table with a row per (attribute, value)
-pair and, grouped by class, a seed column per class and a column per
-block instance: one cumsum serves every attribute and class, and the
-Laplace terms take one log per table cell rather than one per
-(instance, class, attribute).  Blocks are one scan slice, ``_SCAN_SLICE``,
-or shorter where that table or a (classes, block) array would exceed
-``_TABLE_CELLS``.  A reset throws away the rest of the block for the
-detector that fired, so a timeline made at a reset starts with a block
-no longer than the stretch since its parent's reset (at least
+reset, the predictions of every class are vectorised over the block.  The
+class counts and every numeric slot's sums and squared sums come from one
+running-sum table, a row per (statistic, class) and, after a column of the
+model's statistics, a column per block instance: one NumPy cumsum along
+the rows adds left to right exactly like ``NaiveBayes.train``'s ``+=``,
+so the per-instance arithmetic is reproduced bit for bit and block
+boundaries never change a bit.  The nominal counts of a block come from
+a second table with a row per (attribute, value) pair and, grouped by
+class, a seed column per class and a column per block instance: one
+cumsum serves every attribute and class, and the Laplace terms take one
+log per table cell rather than one per (instance, class, attribute).
+Blocks are one scan slice, ``_SCAN_SLICE``, or shorter where either table
+would exceed ``_TABLE_CELLS``.  A reset throws away the rest of the block
+for the detector that fired, so a timeline made at a reset starts with a
+block no longer than the stretch since its parent's reset (at least
 ``_FIRST_BLOCK`` rows), which then doubles: alarm cascades waste little,
 rare alarms keep full blocks, and the cost stays linear in the stream.
 """
@@ -55,10 +56,10 @@ from .streams import NOMINAL, NUMERIC, Stream, StreamSchema
 VARIANCE_FLOOR = 1e-6
 _TWO_PI = 2.0 * math.pi
 _FIRST_BLOCK = 64  # shortest block after a detector-driven reset
-# Cap on the cells (8 bytes each) of a block's nominal count table, Σcard
-# rows by block + classes columns, and of its (classes, block) arrays: a
-# wider schema or more classes get shorter blocks (no shorter than
-# _FIRST_BLOCK), which keeps each within 1 MB.
+# Cap on the cells (8 bytes each) of each of a block's tables: nominal counts,
+# Σcard rows by block + classes columns, and running sums, classes x (1 + 2
+# numeric slots) rows by block columns.  A wider schema or more classes get
+# shorter blocks (no shorter than _FIRST_BLOCK), keeping each within 1 MB.
 _TABLE_CELLS = 1 << 17
 
 
@@ -122,15 +123,6 @@ class RunRecord:
     bits: Optional[np.ndarray] = None
 
 
-def _seeded_rows(seeds: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Row-wise prefix sums: column k of row r holds ``seeds[r]`` plus the
-    first k values of row r, accumulated left to right exactly like +=."""
-    out = np.empty((values.shape[0], values.shape[1] + 1))
-    out[:, 0] = seeds
-    out[:, 1:] = values
-    return np.cumsum(out, axis=1, out=out)
-
-
 def _block_bits(model: NaiveBayes, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Prediction-correctness bits for a block; ``model`` ends trained on it.
 
@@ -138,37 +130,42 @@ def _block_bits(model: NaiveBayes, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     compute (see ``_nominal_scores`` for the nominal attributes);
     ``tests/test_learners.py`` keeps the per-instance predictor as the
     reference it is compared against.  An out-of-range nominal code
-    raises ``ValueError`` before any statistic is written.
+    raises ``ValueError`` before any statistic is written.  The running-sum
+    table's rows are the class counts, each numeric slot's sums, then its
+    squared sums, a row per class each; column i holds them before instance i.
     """
-    B = y.shape[0]
-    m = model.n_classes
+    B, m, k = y.shape[0], model.n_classes, len(model._numeric)
     totals = model.total + np.arange(B)
-    classes = np.arange(m)[:, None]
-    mask = (y == classes).astype(np.float64)
-    cc_all = _seeded_rows(model.class_counts, mask)
+    x = X[:, model._numeric].T[:, None]
+    mask = y == np.arange(m)[:, None]
+    table = np.empty((1 + 2 * k, m, B + 1))
+    cc_all, sums, sqs = table[0], table[1:k + 1], table[k + 1:]
+    cc_all[:, 0], cc_all[:, 1:] = model.class_counts, mask
+    sums[..., 0], sqs[..., 0] = model.num_sums.T, model.num_sumsqs.T
+    np.multiply(x, mask, out=sums[..., 1:])
+    np.multiply(x * x, mask, out=sqs[..., 1:])
+    np.cumsum(table, axis=2, out=table)
     cc = cc_all[:, :B]
-    end_sums = np.empty_like(model.num_sums)
-    end_sumsqs = np.empty_like(model.num_sumsqs)
     with np.errstate(divide="ignore", invalid="ignore"):
         score = np.log(cc / totals)
         safe = np.where(cc > 0, cc, 1.0)
-        for slot, j in enumerate(model._numeric):
-            x = X[:, j]
-            s_all = _seeded_rows(model.num_sums[:, slot], x * mask)
-            q_all = _seeded_rows(model.num_sumsqs[:, slot], (x * x) * mask)
-            end_sums[:, slot] = s_all[:, B]
-            end_sumsqs[:, slot] = q_all[:, B]
-            mean = s_all[:, :B] / safe
-            var = q_all[:, :B] / safe - mean * mean
-            var = np.maximum(var, VARIANCE_FLOOR)
-            d = x - mean
-            score += -0.5 * np.log(_TWO_PI * var) - d * d / (2.0 * var)
+        if k:  # -0.5 log(2 pi var) - d * d / (2 var), d = x - mean, in place in the table
+            mean = np.divide(sums[..., :B], safe, out=sums[..., :B])
+            var = np.divide(sqs[..., :B], safe, out=sqs[..., :B])
+            terms = mean * mean
+            np.maximum(np.subtract(var, terms, out=var), VARIANCE_FLOOR, out=var)
+            np.log(np.multiply(var, _TWO_PI, out=terms), out=terms)
+            terms *= -0.5
+            d2 = np.square(np.subtract(x, mean, out=mean), out=mean)
+            terms -= np.divide(d2, np.multiply(var, 2.0, out=var), out=d2)
+            for term in terms:
+                score += term  # slot after slot, as the per-instance sum runs
         if model._nominal:
             model.nom_counts = _nominal_scores(model, X, y, cc_all, score)
         score = np.where(cc > 0, score, -np.inf)
     model.total += B
-    model.class_counts = cc_all[:, B].copy()
-    model.num_sums, model.num_sumsqs = end_sums, end_sumsqs
+    model.class_counts[:] = cc_all[:, B]
+    model.num_sums[:], model.num_sumsqs[:] = sums[..., B].T, sqs[..., B].T
     return (np.argmax(score, axis=0) == y) & (totals > 0)
 
 
@@ -283,9 +280,9 @@ def prequential_runs(stream: Stream, detectors: Sequence[Optional[DriftDetector]
     alarms: list[list[int]] = [[] for _ in detectors]
     correct = [0] * len(detectors)
     bits_out = [np.zeros(n, dtype=bool) if keep_bits else None for _ in detectors]
-    width = max(int(model._cards.sum()), 1)
-    longest = min(_SCAN_SLICE, max(_FIRST_BLOCK, min(_TABLE_CELLS // width - model.n_classes,
-                                                     _TABLE_CELLS // max(model.n_classes, 1))))
+    m, width = model.n_classes, max(int(model._cards.sum()), 1)
+    cap = min(_TABLE_CELLS // width - m, _TABLE_CELLS // max(m * (1 + 2 * len(model._numeric)), 1))
+    longest = min(_SCAN_SLICE, max(_FIRST_BLOCK, cap))
     # Live timelines keyed by their last reset position, the root by None.
     live = {None: _Timeline(model, 0, 0, longest, list(range(len(detectors))))}
     while live:

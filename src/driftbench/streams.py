@@ -62,6 +62,12 @@ DEFAULT_LENGTH = 100_000
 # Generation holds only the arrays it returns (X, y, concepts) plus scratch
 # of _PIECE rows, so a stream that fits in memory can be generated.
 MAX_LENGTH = 100_000_000
+# Most drifts a sine1 or mixed schedule may hold, 2500x the paper's four.
+# A schedule lists every position as a Python int, and generation makes one
+# pass per drift (its transition's draws, then every later concept moved on),
+# so 10**4 drifts over 10**6 rows take seconds, where a drift per instance of
+# the longest stream would list 10**8 positions, several GB of them.
+MAX_DRIFTS = 10_000
 # Rows per piece of scratch while a stream is generated.
 _PIECE = 4096
 # Largest k a CSV "name:nominal:<k>" mark may declare, and most distinct
@@ -163,7 +169,12 @@ def default_schedule(family: str, length: int, every: Optional[int] = None,
 
 def _check_drifts(family: str, drifts: int) -> None:
     """Refuse more drifts than ``family`` defines concepts for: circles has
-    one circle per concept, led's layout one segment placement."""
+    one circle per concept, led's layout one segment placement.  sine1 and
+    mixed alternate two concepts, so any count is defined; they are held to
+    :data:`MAX_DRIFTS`, which keeps listing and generating a schedule cheap."""
+    if family in ("sine1", "mixed") and drifts > MAX_DRIFTS:
+        raise UsageError(
+            f"{family} supports at most {MAX_DRIFTS} drifts, schedule has {drifts}")
     if family == "circles" and drifts >= len(CIRCLES):
         raise UsageError(
             f"circles supports at most {len(CIRCLES) - 1} drifts, schedule has {drifts}")

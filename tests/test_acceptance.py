@@ -50,26 +50,28 @@ def random_bits(seed, n):
 
 
 class TestCriterion1ExactEquivalence:
+    # Criteria 1 and 4 time the process's CPU, which the load of other
+    # processes on a busy host does not stretch as it does wall time.
     def test_geometric_euler_identical_on_a_million_bits(self):
         bits = random_bits(20_260_801, 1_000_000)
-        start = time.perf_counter()
+        start = time.process_time()
         g = MDDM(Geometric(math.exp(0.01)), n=25, delta=1e-6).drift_points(bits)
         e = MDDM(Euler(0.01), n=25, delta=1e-6).drift_points(bits)
-        elapsed = time.perf_counter() - start
+        elapsed = time.process_time() - start
         ok = g == e and len(g) > 0 and elapsed < 1.0
         report("1a", ok, f"MDDM-G(e^0.01) vs MDDM-E(0.01): {len(g)} identical "
                          f"alarms in {elapsed:.2f}s")
 
     def test_degenerate_schemes_identical_on_a_million_bits(self):
         bits = random_bits(20_260_802, 1_000_000)
-        start = time.perf_counter()
+        start = time.process_time()
         sequences = [
             MDDM(Arithmetic(0.0), n=25, delta=1e-6).drift_points(bits),
             MDDM(Geometric(1.0), n=25, delta=1e-6).drift_points(bits),
             MDDM(Euler(0.0), n=25, delta=1e-6).drift_points(bits),
             fhddm(25, 1e-6).drift_points(bits),
         ]
-        elapsed = time.perf_counter() - start
+        elapsed = time.process_time() - start
         ok = all(s == sequences[0] for s in sequences) and elapsed < 1.0
         report("1b", ok, f"A(0)/G(1)/E(0)/FHDDM: {len(sequences[0])} identical "
                          f"alarms in {elapsed:.2f}s")
@@ -160,7 +162,7 @@ class TestCriterion4BruteForce:
         return out
 
     def test_all_sequences_small_windows(self):
-        start = time.perf_counter()
+        start = time.process_time()
         checked = 0
         for n in (2, 3, 4):
             for scheme, delta in ((Uniform(), 0.3), (Arithmetic(0.3), 0.3),
@@ -175,7 +177,7 @@ class TestCriterion4BruteForce:
                         report(4, False, f"mismatch at n={n}, {scheme}, "
                                          f"bits={bits}")
                     checked += 1
-        elapsed = time.perf_counter() - start
+        elapsed = time.process_time() - start
         ok = elapsed < 10.0
         report(4, ok, f"{checked} sequences x 4 schemes match the direct "
                       f"evaluator in {elapsed:.1f}s")

@@ -15,6 +15,7 @@ from driftbench import (ADWIN, CUSUM, DDM, EDDM, RDDM, NaiveBayes, PageHinkley, 
                         Verdict, generate_stream, prequential_run)
 from driftbench.detectors import baselines
 from driftbench.detectors.base import DriftDetector
+from driftbench.streams import MAX_LENGTH
 
 ALL_DETECTORS = [
     lambda: CUSUM(),
@@ -414,6 +415,12 @@ class TestRddm:
         assert Verdict.WARNING in verdicts
         if Verdict.DRIFT in verdicts:
             assert verdicts.index(Verdict.WARNING) < verdicts.index(Verdict.DRIFT)
+
+    def test_min_stable_above_the_longest_stream_is_refused(self):
+        # 1e30 used to reach deque(maxlen=...) and raise OverflowError.
+        with pytest.raises(ValueError, match="min_stable must be <= 100000000"):
+            RDDM(min_stable=MAX_LENGTH + 1)
+        assert RDDM(min_stable=MAX_LENGTH).stored.maxlen == MAX_LENGTH
 
 
 # --- ADWIN ------------------------------------------------------------------

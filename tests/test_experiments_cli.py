@@ -625,7 +625,8 @@ class TestDetectorTable:
 class TestOutOfDomainValues:
     @pytest.mark.parametrize("detector,setting", [
         ("mddm_a", "delta=2"), ("ddm", "warning_level=5"), ("adwin", "max_window=1"),
-        ("cusum", "lambda=-1"), ("mddm_a", "d=-1"), ("adwin", "max_window=1e30")])
+        ("cusum", "lambda=-1"), ("mddm_a", "d=-1"), ("adwin", "max_window=1e30"),
+        ("rddm", "min_stable=1e30")])
     def test_bad_set_value_is_usage_error(self, detector, setting, capsys):
         code = main(["--stream", "sine1", "--detector", detector, "--runs", "1",
                      "--set", "length=2000", "--set", setting])
@@ -769,7 +770,10 @@ class TestOutOfDomainValues:
 
     @pytest.mark.parametrize("stream,message", [
         ("circles", "circles supports at most 3 drifts"),
-        ("led", "led layout defines 4 concepts")], ids=["circles", "led"])
+        ("led", "led layout defines 4 concepts"),
+        ("sine1", "sine1 supports at most 10000 drifts"),
+        ("mixed", "mixed supports at most 10000 drifts")],
+        ids=["circles", "led", "sine1", "mixed"])
     def test_reshaped_schedule_over_the_concept_cap_exits_2_at_once(self, stream, message,
                                                                     tmp_path):
         # The drifts are counted before the schedule enumerates them: about

@@ -274,17 +274,16 @@ class TestPrequentialRun:
                 assert fast.accuracy == slow_correct / len(stream)
                 assert np.array_equal(fast.bits, np.array(slow_bits, dtype=bool))
 
-    @pytest.mark.parametrize("family", ["led", "mixed", "uneven"])
+    @pytest.mark.parametrize("family", ["led", "mixed", "uneven", "slots"])
     def test_matches_reference_loop_across_block_boundaries(self, family):
         # 12k rows span several full blocks; MDDM at delta 0.1 resets often,
         # so blocks restart small and regrow many times.  "uneven" mixes
         # nominal cardinalities over six classes, one so rare that many
-        # blocks hold none of its instances.
+        # blocks hold none of its instances; "slots" has three numeric
+        # slots over four classes.
+        stream = self.make_stream(family, 12_000, seed=6)
         if family == "uneven":
-            stream = self.uneven_stream(12_000, seed=6)
             assert 0 < np.count_nonzero(stream.y == 5) < 60
-        else:
-            stream = generate_stream(StreamSpec(family, length=12_000, seed=6))
         for make, policy in ((lambda: MDDM(Arithmetic(0.01), 25, 0.1), "reset"),
                              (lambda: EDDM(), "reset"),
                              (lambda: MDDM(Arithmetic(0.01), 25, 0.1), "none"),
@@ -339,10 +338,11 @@ class TestPrequentialRun:
         assert max(lengths) == longest
 
     def test_many_classes_shorten_blocks(self, monkeypatch):
-        # 500 classes: each (classes, block) array stays within _TABLE_CELLS,
-        # and the shorter blocks still match the loop, resets included.
+        # 200 classes: the running-sum table, 5 * m rows for two numeric
+        # slots, stays within _TABLE_CELLS, and the shorter blocks still
+        # match the loop, resets included.
         rng = np.random.default_rng(21)
-        m, n = 500, 3_000
+        m, n = 200, 3_000
         x = rng.random(n)
         y = np.where(rng.random(n) < 0.8, (x * m).astype(np.int64), rng.integers(0, m, n))
         stream = Stream("classes", np.column_stack([x, rng.normal(size=n)]), y,
@@ -354,7 +354,7 @@ class TestPrequentialRun:
             assert fast.alarms == tuple(slow_alarms)
             assert fast.accuracy == slow_correct / n
             assert np.array_equal(fast.bits, np.array(slow_bits, dtype=bool))
-            assert max(lengths) == learners._TABLE_CELLS // m
+            assert max(lengths) == learners._TABLE_CELLS // (5 * m)
             alarms.append(fast.alarms)
         assert alarms[0] and not alarms[1]
 
@@ -397,13 +397,12 @@ class TestPrequentialRun:
         with pytest.raises(ValueError, match=message if math.isfinite(bad) else "NaN"):
             NaiveBayes(stream.schema).train(X[150], 0)
 
-    @pytest.mark.parametrize("family", ["sine1", "mixed", "circles", "led", "uneven"])
+    @pytest.mark.parametrize("family", ["sine1", "mixed", "circles", "led", "uneven", "slots"])
     def test_block_trains_its_model_in_place(self, family):
         # After 300 rows trained one by one, two blocks give the reference
         # predictor's bits and leave the model trained as the copy that saw
         # each row on its own.
-        stream = (self.uneven_stream(1_500, seed=4) if family == "uneven"
-                  else generate_stream(StreamSpec(family, length=1_500, seed=4)))
+        stream = self.make_stream(family, 1_500, seed=4)
         X, y = stream.X, stream.y
         model, want = NaiveBayes(stream.schema), NaiveBayes(stream.schema)
         for t in range(300):
@@ -431,6 +430,32 @@ class TestPrequentialRun:
         assert model.total == want.total
         for name, array in zip(names, before):
             assert np.array_equal(getattr(model, name), array), name
+
+    @classmethod
+    def make_stream(cls, family, n, seed):
+        if family == "uneven":
+            return cls.uneven_stream(n, seed)
+        if family == "slots":
+            return cls.slots_stream(n, seed)
+        return generate_stream(StreamSpec(family, length=n, seed=seed))
+
+    @staticmethod
+    def slots_stream(n, seed):
+        # Three numeric attributes of different scales around class means
+        # that move halfway, interleaved with two nominal ones of
+        # cardinality 4 and 3, over four classes: every row of a block's
+        # running-sum table (class counts, then each slot's sums, then
+        # each slot's squared sums) differs from its neighbours.
+        rng = np.random.default_rng(seed)
+        y = rng.choice(4, size=n, p=[0.4, 0.3, 0.2, 0.1])
+        shift = np.where(np.arange(n) >= n // 2, 1.5, 0.0)
+        columns = [scale * (y - shift) + rng.normal(0.0, 2.0 * scale, n)
+                   for scale in (0.5, 1.0, 3.0)]
+        columns.insert(1, np.where(rng.random(n) < 0.3, rng.integers(0, 4, n), y))
+        columns.append(np.where(rng.random(n) < 0.5, rng.integers(0, 3, n), y % 3))
+        schema = make_schema([NUMERIC, NOMINAL, NUMERIC, NUMERIC, NOMINAL],
+                             [0, 4, 0, 0, 3], n_classes=4)
+        return Stream("slots", np.column_stack(columns).astype(np.float64), y, schema)
 
     @staticmethod
     def uneven_stream(n, seed):

@@ -26,6 +26,7 @@ from driftbench.streams import (
     LED_DEFAULT_LAYOUT,
     LED_SEGMENTS,
     MAX_CARDINALITY,
+    MAX_DRIFTS,
     MAX_LENGTH,
     NOMINAL,
     NUMERIC,
@@ -346,9 +347,14 @@ class TestGenerateStream:
         assert StreamSpec("sine1").schedule == default_schedule("sine1", 100_000)
         custom = ConceptSchedule((100, 200), 5)
         assert StreamSpec("led", length=600, schedule=custom).schedule is custom
+        most = default_schedule("sine1", MAX_DRIFTS + 1, 1)  # a drift at every instance but 0
+        assert len(StreamSpec("sine1", MAX_DRIFTS + 1, schedule=most).schedule.positions) \
+            == MAX_DRIFTS
         for family, length, schedule, message in (
                 ("circles", 600, ConceptSchedule((100, 200, 300, 400), 5),
                  "circles supports at most 3 drifts, schedule has 4"),
+                ("mixed", MAX_DRIFTS + 2, ConceptSchedule(tuple(range(1, MAX_DRIFTS + 2)), 1),
+                 f"mixed supports at most {MAX_DRIFTS} drifts, schedule has {MAX_DRIFTS + 1}"),
                 ("circles", 200_000, None, "circles supports at most 3 drifts, schedule has 7"),
                 ("led", 600, ConceptSchedule((100, 200, 300, 400), 5),
                  "led layout defines 4 concepts, schedule needs 5"),
